@@ -29,7 +29,7 @@ main(int argc, char **argv)
     QuantumCircuit c = decompose_to_2q(logical);
     run_optimize_1q(c, Basis1q::kUGate);
     consolidate_2q_blocks(c, Basis1q::kUGate);
-    const auto dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
 
     for (int s = 0; s < args.seeds; ++s) {
         RoutingOptions ropts;

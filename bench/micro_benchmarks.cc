@@ -105,7 +105,7 @@ struct RouterFixture
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(qft(16));
     DagCircuit dag{logical};
-    DistanceMatrix dist = hop_distance(dev.coupling);
+    DenseDistanceProvider dist{hop_distance(dev.coupling)};
     RoutingOptions opts;
     Layout init{16, 27};
     Router router{dag, dev.coupling, dist, opts};
@@ -168,7 +168,7 @@ BM_RouteTableICircuit(benchmark::State &state)
     // qubits, ~1.9k gates) with a fixed SABRE-refined layout.
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(benchmark_by_name("rd84_253"));
-    auto dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     RoutingOptions opts;
     opts.algorithm = static_cast<RoutingAlgorithm>(state.range(0));
     Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
@@ -188,7 +188,7 @@ BM_RouteQft15(benchmark::State &state)
 {
     Backend dev = linear_backend(25);
     QuantumCircuit logical = decompose_to_2q(qft(15));
-    auto dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     RoutingOptions opts;
     opts.algorithm = static_cast<RoutingAlgorithm>(state.range(0));
     Layout init(15, 25);
@@ -209,7 +209,7 @@ BM_SabreLayoutTrials(benchmark::State &state)
     // thread counts, so these rows measure pure engine scaling.
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(benchmark_by_name("rd84_253"));
-    auto dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     RoutingOptions opts;
     opts.layout_trials = static_cast<int>(state.range(0));
     opts.layout_threads = static_cast<int>(state.range(1));

@@ -72,7 +72,7 @@ main(int argc, char **argv)
         trial_counts = {trials_override};
 
     Backend dev = montreal_backend();
-    const auto dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
 
     std::string json = "[\n";
     bool first = true;

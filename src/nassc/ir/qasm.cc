@@ -1,7 +1,9 @@
 #include "nassc/ir/qasm.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +18,10 @@ namespace {
 class ExprParser
 {
   public:
-    explicit ExprParser(const std::string &s) : s_(s) {}
+    ExprParser(const std::string &s, const std::string &stmt)
+        : s_(s), stmt_(stmt)
+    {
+    }
 
     double parse()
     {
@@ -103,7 +108,12 @@ class ExprParser
             ++pos_;
         if (pos_ == start)
             fail("expected number");
-        return std::stod(s_.substr(start, pos_ - start));
+        const std::string literal = s_.substr(start, pos_ - start);
+        try {
+            return std::stod(literal);
+        } catch (const std::logic_error &) { // invalid or out of range
+            fail("bad number '" + literal + "'");
+        }
     }
 
     char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
@@ -117,18 +127,19 @@ class ExprParser
 
     [[noreturn]] void fail(const std::string &msg)
     {
-        throw std::runtime_error("qasm expression error: " + msg + " in '" +
-                                 s_ + "'");
+        throw std::runtime_error("qasm: expression error: " + msg + " in '" +
+                                 s_ + "' of '" + stmt_ + "'");
     }
 
     const std::string &s_;
+    const std::string &stmt_; ///< enclosing statement, for messages
     size_t pos_ = 0;
 };
 
 double
-eval_expr(const std::string &s)
+eval_expr(const std::string &s, const std::string &stmt)
 {
-    ExprParser p(s);
+    ExprParser p(s, stmt);
     return p.parse();
 }
 
@@ -162,6 +173,19 @@ trim(const std::string &s)
         return "";
     size_t e = s.find_last_not_of(" \t\r\n");
     return s.substr(b, e - b + 1);
+}
+
+/** Register size or index; unparsable and out-of-range text becomes a
+ *  qasm error naming `stmt` instead of a bare std::stoll message. */
+std::int64_t
+parse_count(const std::string &text, const std::string &stmt)
+{
+    try {
+        return std::stoll(text);
+    } catch (const std::logic_error &) { // invalid or out of range
+        throw std::runtime_error("qasm: bad integer '" + trim(text) +
+                                 "' in '" + stmt + "'");
+    }
 }
 
 } // namespace
@@ -226,7 +250,7 @@ from_qasm(const std::string &text)
 
     std::map<std::string, int> reg_offset;
     std::map<std::string, int> reg_size;
-    int total_qubits = 0;
+    std::int64_t total_qubits = 0; // 64-bit so the INT_MAX check can't wrap
     std::vector<Gate> pending;
 
     auto resolve = [&](const std::string &operand_raw,
@@ -241,7 +265,8 @@ from_qasm(const std::string &text)
         size_t rb = operand.find(']', lb);
         if (rb == std::string::npos)
             throw std::runtime_error("qasm: missing ']' in '" + stmt + "'");
-        int idx = std::stoi(operand.substr(lb + 1, rb - lb - 1));
+        const std::int64_t idx =
+            parse_count(operand.substr(lb + 1, rb - lb - 1), stmt);
         auto it = reg_offset.find(reg);
         if (it == reg_offset.end())
             throw std::runtime_error("qasm: unknown register '" + reg +
@@ -249,7 +274,7 @@ from_qasm(const std::string &text)
         if (idx < 0 || idx >= reg_size[reg])
             throw std::runtime_error("qasm: index out of range in '" + stmt +
                                      "'");
-        return it->second + idx;
+        return it->second + static_cast<int>(idx);
     };
 
     for (const std::string &raw : split(clean, ';')) {
@@ -266,9 +291,20 @@ from_qasm(const std::string &text)
             if (lb == std::string::npos || rb == std::string::npos)
                 throw std::runtime_error("qasm: bad qreg: " + stmt);
             std::string name = trim(stmt.substr(4, lb - 4));
-            int size = std::stoi(stmt.substr(lb + 1, rb - lb - 1));
-            reg_offset[name] = total_qubits;
-            reg_size[name] = size;
+            const std::int64_t size =
+                parse_count(stmt.substr(lb + 1, rb - lb - 1), stmt);
+            if (size <= 0)
+                throw std::runtime_error(
+                    "qasm: register size must be positive in '" + stmt +
+                    "'");
+            if (reg_offset.count(name))
+                throw std::runtime_error("qasm: duplicate register '" +
+                                         name + "' in '" + stmt + "'");
+            if (total_qubits + size > INT_MAX)
+                throw std::runtime_error(
+                    "qasm: more than INT_MAX qubits in '" + stmt + "'");
+            reg_offset[name] = static_cast<int>(total_qubits);
+            reg_size[name] = static_cast<int>(size);
             total_qubits += size;
             continue;
         }
@@ -311,7 +347,7 @@ from_qasm(const std::string &text)
             for (const std::string &p :
                  split(stmt.substr(rest_begin + 1, close - rest_begin - 1),
                        ','))
-                params.push_back(eval_expr(p));
+                params.push_back(eval_expr(p, stmt));
             rest_begin = close + 1;
         }
         std::vector<int> qs;
@@ -336,7 +372,7 @@ from_qasm(const std::string &text)
         pending.push_back(Gate(*kind, std::move(qs), std::move(params)));
     }
 
-    QuantumCircuit qc(total_qubits);
+    QuantumCircuit qc(static_cast<int>(total_qubits));
     for (Gate &g : pending)
         qc.append(std::move(g));
     return qc;

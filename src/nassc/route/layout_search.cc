@@ -83,12 +83,9 @@ struct LayoutSearch::WorkerCtx
 
 LayoutSearch::LayoutSearch(const QuantumCircuit &logical,
                            const CouplingMap &coupling,
-                           const DistanceMatrix &dist,
+                           const DistanceProvider &dist,
                            const RoutingOptions &opts, int iterations)
-    : coupling_(coupling),
-      borrowed_(std::make_unique<DenseDistanceProvider>(
-          DenseDistanceProvider::borrowed(dist))),
-      dist_(borrowed_.get()), opts_(mapping_options(opts)),
+    : coupling_(coupling), dist_(dist), opts_(mapping_options(opts)),
       retain_(opts.reuse_routing &&
               opts.algorithm == RoutingAlgorithm::kSabre),
       trials_requested_(opts.layout_trials), iterations_(iterations),
@@ -99,22 +96,6 @@ LayoutSearch::LayoutSearch(const QuantumCircuit &logical,
     // The refinement passes route the stripped circuit (historical,
     // bit-compatible); the scoring pass must route what route_circuit()
     // would see, so a second DAG exists exactly when they differ.
-    if (logical.size() != fwd_.size())
-        full_dag_.emplace(logical);
-}
-
-LayoutSearch::LayoutSearch(const QuantumCircuit &logical,
-                           const CouplingMap &coupling,
-                           const DistanceProvider &dist,
-                           const RoutingOptions &opts, int iterations)
-    : coupling_(coupling), dist_(&dist), opts_(mapping_options(opts)),
-      retain_(opts.reuse_routing &&
-              opts.algorithm == RoutingAlgorithm::kSabre),
-      trials_requested_(opts.layout_trials), iterations_(iterations),
-      num_logical_(logical.num_qubits()),
-      fwd_(logical.without_non_unitary()), rev_(reversed(fwd_)),
-      fwd_dag_(fwd_), rev_dag_(rev_)
-{
     if (logical.size() != fwd_.size())
         full_dag_.emplace(logical);
 }
@@ -130,7 +111,7 @@ LayoutSearch::ctx(int worker)
     auto &slot = workers_[static_cast<std::size_t>(worker)];
     if (!slot)
         slot = std::make_unique<WorkerCtx>(fwd_dag_, rev_dag_, coupling_,
-                                           *dist_, opts_);
+                                           dist_, opts_);
     return *slot;
 }
 
@@ -140,7 +121,7 @@ LayoutSearch::score_router(WorkerCtx &c)
     if (!full_dag_)
         return c.fwd;
     if (!c.score)
-        c.score = std::make_unique<Router>(*full_dag_, coupling_, *dist_,
+        c.score = std::make_unique<Router>(*full_dag_, coupling_, dist_,
                                            opts_);
     return *c.score;
 }
@@ -185,7 +166,7 @@ LayoutSearch::embedding_seed_layout() const
         for (int m : nbrs[static_cast<std::size_t>(l)]) {
             int mp = l2p[static_cast<std::size_t>(m)];
             if (mp >= 0)
-                placed_rows.push_back(dist_->row(mp));
+                placed_rows.push_back(dist_.row(mp));
         }
         int best_p = -1;
         double best_cost = std::numeric_limits<double>::infinity();
@@ -423,15 +404,6 @@ LayoutSearch::run(Scheduler *scheduler)
     res.trials = std::move(trials_);
     trials_.clear();
     return res;
-}
-
-LayoutSearchResult
-search_and_route(const QuantumCircuit &logical, const CouplingMap &coupling,
-                 const DistanceMatrix &dist, const RoutingOptions &opts,
-                 int iterations, Scheduler *scheduler)
-{
-    LayoutSearch search(logical, coupling, dist, opts, iterations);
-    return search.run(scheduler);
 }
 
 LayoutSearchResult

@@ -87,27 +87,10 @@ gather_swapped_dists(const int *ks, int m, const int *pa_arr,
 #endif // __AVX2__
 
 Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
-               const DistanceMatrix &dist, const RoutingOptions &opts)
-    : dag_(dag), coupling_(coupling),
-      borrowed_(std::make_unique<DenseDistanceProvider>(
-          DenseDistanceProvider::borrowed(dist))),
-      prov_(borrowed_.get()), flat_(dist.data()), opts_(opts),
-      num_phys_(coupling.num_qubits())
-{
-    init();
-}
-
-Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
                const DistanceProvider &dist, const RoutingOptions &opts)
-    : dag_(dag), coupling_(coupling), prov_(&dist),
+    : dag_(dag), coupling_(coupling), prov_(dist),
       flat_(dist.dense_data()), opts_(opts),
       num_phys_(coupling.num_qubits())
-{
-    init();
-}
-
-void
-Router::init()
 {
     for (int id = 0; id < dag_.num_nodes(); ++id) {
         const Gate &g = dag_.gate(id);

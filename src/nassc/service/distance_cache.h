@@ -42,13 +42,9 @@
 #include <vector>
 
 #include "nassc/topo/backends.h"
-#include "nassc/topo/distance_matrix.h"
 #include "nassc/topo/distance_provider.h"
 
 namespace nassc {
-
-/** Read-only handle to a cached flat distance matrix. */
-using SharedDistanceMatrix = std::shared_ptr<const DistanceMatrix>;
 
 /** Read-only handle to a cached distance provider. */
 using SharedDistanceProvider = SharedDistanceProviderPtr;
@@ -112,15 +108,6 @@ class DistanceCache
      */
     SharedDistanceProvider provider(const Backend &backend,
                                     const DistanceRequest &request = {});
-
-    /**
-     * Dense-matrix compatibility shim: serves the request through a
-     * dense provider (the sparse flag is ignored — a matrix must be
-     * fully materialized) and returns the matrix aliased into it.
-     * Existing callers and tests keep working unchanged.
-     */
-    SharedDistanceMatrix get(const Backend &backend,
-                             const DistanceRequest &request = {});
 
     /**
      * Drop every entry belonging to `backend_name` (any generation),

@@ -3,19 +3,18 @@
 
 /**
  * @file
- * Work-stealing job scheduler: the multi-job successor of ThreadPool.
+ * Work-stealing job scheduler: the process's one worker pool.
  *
- * ThreadPool (service/thread_pool.h) runs ONE parallel_for at a time —
- * top-level submissions from distinct threads serialize on a submit
- * mutex, so a serving process with concurrent independent batches
- * degrades to lock-step.  Scheduler generalizes the same worker model
- * to PER-JOB task queues: every submitted job owns its own index
- * counter and slot table, the shared workers scan the active-job list
- * round-robin and steal one task at a time from whichever job has work
- * and a free slot, and distinct submitters therefore interleave on the
- * same workers instead of queueing behind each other.
+ * A pool that runs ONE parallel_for at a time serializes top-level
+ * submissions from distinct threads, so a serving process with
+ * concurrent independent batches degrades to lock-step.  Scheduler
+ * instead keeps PER-JOB task queues: every submitted job owns its own
+ * index counter and slot table, the shared workers scan the active-job
+ * list round-robin and steal one task at a time from whichever job has
+ * work and a free slot, and distinct submitters therefore interleave
+ * on the same workers instead of queueing behind each other.
  *
- * Everything the single-job pool guaranteed is preserved:
+ * parallel_for guarantees:
  *
  *  - fn(index, slot) runs for every index in [0, count) exactly once;
  *    any worker may execute any index, so callers write results into

@@ -63,10 +63,18 @@ TranspileService::request_key(const QuantumCircuit &circuit,
     // the backend contributes its own cache_key(), which already
     // fingerprints topology + calibration.  '|' never appears inside
     // the hex fragments, so the triple cannot alias across fields.
-    // The deadline is zeroed first: it is QoS, not identity, and keying
-    // it would split coalescing/caching across equal circuits.
+    // Fields that decide when or how a result is computed, but never
+    // what it is, are reset to their defaults first: keying them would
+    // split coalescing/caching across requests that must return the
+    // same bytes.
     TranspileOptions keyed = options;
-    keyed.deadline_ms = 0;
+    const TranspileOptions defaults;
+    keyed.priority = defaults.priority;
+    keyed.cache_ttl_seconds = defaults.cache_ttl_seconds;
+    keyed.deadline_ms = defaults.deadline_ms;
+    keyed.layout_threads = defaults.layout_threads;
+    keyed.reuse_routing = defaults.reuse_routing;
+    keyed.distance_row_budget_bytes = defaults.distance_row_budget_bytes;
     return hex64(circuit.fingerprint()) + "|" + backend.cache_key() + "|" +
            hex64(keyed.fingerprint());
 }

@@ -290,10 +290,12 @@ class TranspileService
     std::size_t purge_expired();
 
     /** The fingerprint key submit() files `(circuit, backend, options)`
-     *  under — exposed for tests and external sharding.  deadline_ms is
-     *  zeroed before fingerprinting: a deadline is per-request QoS, not
-     *  result identity, so deadline'd and deadline-free submissions of
-     *  one circuit coalesce and share cache entries. */
+     *  under — exposed for tests and external sharding.  The
+     *  output-neutral options (priority, cache_ttl_seconds, deadline_ms,
+     *  layout_threads, reuse_routing, distance_row_budget_bytes) are
+     *  reset to their defaults before fingerprinting: they are
+     *  per-request QoS, not result identity, so submissions that differ
+     *  only there coalesce and share cache entries. */
     static std::string request_key(const QuantumCircuit &circuit,
                                    const Backend &backend,
                                    const TranspileOptions &options);

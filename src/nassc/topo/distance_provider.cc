@@ -17,21 +17,6 @@ DenseDistanceProvider::DenseDistanceProvider(DistanceMatrix matrix)
 {
 }
 
-DenseDistanceProvider::DenseDistanceProvider(
-    std::shared_ptr<const DistanceMatrix> matrix)
-    : matrix_(std::move(matrix))
-{
-}
-
-DenseDistanceProvider
-DenseDistanceProvider::borrowed(const DistanceMatrix &matrix)
-{
-    // Empty-deleter alias: the caller owns the matrix and guarantees
-    // it outlives the provider.
-    return DenseDistanceProvider(std::shared_ptr<const DistanceMatrix>(
-        &matrix, [](const DistanceMatrix *) {}));
-}
-
 DistanceRow
 DenseDistanceProvider::row(int src) const
 {

@@ -12,8 +12,8 @@
  *
  *  - DenseDistanceProvider wraps the existing flat DistanceMatrix.
  *    dense_data() exposes the contiguous n*n block, so the router's
- *    AVX2 gather kernels run verbatim on the dense path — bit-identical
- *    to passing the matrix directly, zero new branches per element.
+ *    AVX2 gather kernels read the flat storage directly, with no
+ *    per-element branch.
  *  - SparseDistanceProvider computes per-source rows on demand (BFS for
  *    hop distances, Dijkstra for the HA noise-aware metric of paper
  *    eq. 3) and caches them with thread-safe publish and byte-bounded
@@ -107,22 +107,7 @@ class DenseDistanceProvider final : public DistanceProvider
     /** Owning: moves the matrix in. */
     explicit DenseDistanceProvider(DistanceMatrix matrix);
 
-    /** Shared: aliases an already-shared matrix (no copy). */
-    explicit DenseDistanceProvider(
-        std::shared_ptr<const DistanceMatrix> matrix);
-
-    /**
-     * Non-owning view; the caller guarantees `matrix` outlives the
-     * provider.  Used by the compatibility constructors that accept a
-     * bare DistanceMatrix reference.
-     */
-    static DenseDistanceProvider borrowed(const DistanceMatrix &matrix);
-
     const DistanceMatrix &matrix() const { return *matrix_; }
-    std::shared_ptr<const DistanceMatrix> shared_matrix() const
-    {
-        return matrix_;
-    }
 
     int num_qubits() const override { return matrix_->num_qubits(); }
     const double *dense_data() const override { return matrix_->data(); }

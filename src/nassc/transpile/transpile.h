@@ -122,17 +122,16 @@ struct TranspileOptions
     int region_radius = 0;
 
     /**
-     * FNV-1a fingerprint over EVERY field above, in declaration order.
-     * Part of the TranspileService result-cache key (with
-     * QuantumCircuit::fingerprint() and Backend::cache_key()), so two
-     * option sets share a key iff every field matches.  Deliberately
-     * conservative: layout_threads, reuse_routing, and the serving
-     * fields (priority, cache_ttl_seconds) are keyed too even though
-     * none of them changes the transpiled output — a request that
-     * differs only there misses the cache rather than risking a stale
-     * answer if those contracts ever loosen.  Values are pinned
-     * in tests/test_fingerprint.cc; extending this struct must extend
-     * the hash (the test's field-coverage sweep catches omissions).
+     * FNV-1a fingerprint over EVERY field above, in declaration order,
+     * so two option sets share a fingerprint iff every field matches.
+     * The TranspileService result-cache key (with
+     * QuantumCircuit::fingerprint() and Backend::cache_key()) hashes a
+     * copy whose output-neutral fields — priority, cache_ttl_seconds,
+     * deadline_ms, layout_threads, reuse_routing,
+     * distance_row_budget_bytes — are reset to their defaults first
+     * (see TranspileService::request_key).  Values are pinned in
+     * tests/test_fingerprint.cc; extending this struct must extend the
+     * hash (the test's field-coverage sweep catches omissions).
      */
     std::uint64_t fingerprint() const;
 };

@@ -205,28 +205,32 @@ TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
     Backend linear = linear_backend(25);
 
     DistanceCache cache;
-    SharedDistanceMatrix hops1 = cache.get(montreal);
-    SharedDistanceMatrix hops2 = cache.get(montreal);
-    EXPECT_EQ(hops1.get(), hops2.get()); // same shared matrix
+    SharedDistanceProvider hops1 = cache.provider(montreal);
+    SharedDistanceProvider hops2 = cache.provider(montreal);
+    EXPECT_EQ(hops1.get(), hops2.get()); // same shared provider
     EXPECT_EQ(cache.computation_count(), 1u);
     EXPECT_EQ(cache.hit_count(), 1u);
 
-    SharedDistanceMatrix noise = cache.get(montreal, DistanceRequest::noise());
+    SharedDistanceProvider noise =
+        cache.provider(montreal, DistanceRequest::noise());
     EXPECT_NE(noise.get(), hops1.get());
-    SharedDistanceMatrix other = cache.get(linear);
+    SharedDistanceProvider other = cache.provider(linear);
     EXPECT_NE(other.get(), hops1.get());
     EXPECT_EQ(cache.computation_count(), 3u);
     EXPECT_EQ(cache.size(), 3u);
 
-    // The cached hop matrix matches a direct computation.
-    EXPECT_EQ(*hops1, hop_distance(montreal.coupling));
-    EXPECT_EQ(*noise, noise_aware_distance(montreal));
+    // The cached dense matrices match a direct computation.
+    auto matrix = [](const SharedDistanceProvider &p) {
+        return dynamic_cast<const DenseDistanceProvider &>(*p).matrix();
+    };
+    EXPECT_EQ(matrix(hops1), hop_distance(montreal.coupling));
+    EXPECT_EQ(matrix(noise), noise_aware_distance(montreal));
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    // Cleared entries recompute, but handed-out matrices stay valid.
-    SharedDistanceMatrix hops3 = cache.get(montreal);
-    EXPECT_EQ(*hops3, *hops1);
+    // Cleared entries recompute, but handed-out providers stay valid.
+    SharedDistanceProvider hops3 = cache.provider(montreal);
+    EXPECT_EQ(matrix(hops3), matrix(hops1));
     EXPECT_EQ(cache.computation_count(), 4u);
 }
 

@@ -101,6 +101,60 @@ TEST(EdgeCases, QasmMalformedExpression)
     EXPECT_THROW(from_qasm("qreg q[1]; rz((1+2) q[0];"), std::runtime_error);
 }
 
+/** The message from_qasm(text) throws, or "" when it parses. */
+std::string
+qasm_error(const std::string &text)
+{
+    try {
+        from_qasm(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(EdgeCases, QasmNumericLiteralsOutOfRange)
+{
+    // Each rejection is a qasm: error naming the offending statement,
+    // not a bare std::stoi / std::stod message.
+    const struct
+    {
+        const char *text;
+        const char *stmt;
+    } cases[] = {
+        {"qreg q[99999999999999999999];", "qreg q[99999999999999999999]"},
+        {"qreg q[2]; h q[99999999999999999999];",
+         "h q[99999999999999999999]"},
+        {"qreg q[1]; rz(1e400) q[0];", "rz(1e400) q[0]"},
+        {"qreg q[1]; rz(.) q[0];", "rz(.) q[0]"},
+    };
+    for (const auto &c : cases) {
+        const std::string msg = qasm_error(c.text);
+        EXPECT_EQ(msg.rfind("qasm:", 0), 0u) << c.text << " -> " << msg;
+        EXPECT_NE(msg.find(c.stmt), std::string::npos)
+            << c.text << " -> " << msg;
+    }
+}
+
+TEST(EdgeCases, QasmRegisterDeclarationsAreBounded)
+{
+    // Duplicate names, empty or negative sizes, and totals past INT_MAX
+    // are rejected rather than rebound, accepted, or overflowed.
+    for (const char *text : {
+             "qreg q[2]; qreg q[3];",
+             "qreg q[0];",
+             "qreg q[-4];",
+             "qreg q[99999999999];",
+             "qreg a[2000000000]; qreg b[2000000000];",
+         }) {
+        const std::string msg = qasm_error(text);
+        EXPECT_EQ(msg.rfind("qasm:", 0), 0u) << text << " -> " << msg;
+    }
+    // Distinct registers still flatten in declaration order.
+    EXPECT_EQ(from_qasm("qreg a[2]; qreg b[3]; cx a[1], b[2];").num_qubits(),
+              5);
+}
+
 TEST(EdgeCases, QasmWholeRegisterOperandUnsupported)
 {
     EXPECT_THROW(from_qasm("qreg q[2]; h q;"), std::runtime_error);

@@ -80,12 +80,12 @@ TEST(PerfectLayout, FullGraphRejectsQuickly)
 TEST(PerfectLayout, PerfectLayoutNeedsNoSwaps)
 {
     Backend dev = montreal_backend();
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit qc = ghz(8);
     auto layout = find_perfect_layout(qc, dev.coupling);
     ASSERT_TRUE(layout.has_value());
     RoutingOptions opts;
-    RoutingResult res = route_circuit(
-        qc, dev.coupling, hop_distance(dev.coupling), *layout, opts);
+    RoutingResult res = route_circuit(qc, dev.coupling, dist, *layout, opts);
     EXPECT_EQ(res.stats.num_swaps, 0);
 }
 

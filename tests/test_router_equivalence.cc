@@ -27,6 +27,7 @@
 #include "nassc/passes/basis_translation.h"
 #include "nassc/route/sabre.h"
 #include "nassc/topo/backends.h"
+#include "nassc/transpile/transpile.h"
 
 namespace nassc {
 namespace {
@@ -176,8 +177,9 @@ route_one(const QuantumCircuit &raw, unsigned seed, const Config &cfg)
     opts.use_decay = cfg.use_decay;
     opts.seed = seed;
 
-    const auto dist = cfg.noise_aware ? noise_aware_distance(dev)
-                                      : hop_distance(dev.coupling);
+    const DenseDistanceProvider dist(cfg.noise_aware
+                                         ? noise_aware_distance(dev)
+                                         : hop_distance(dev.coupling));
     Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
     return route_circuit(logical, dev.coupling, dist, init, opts);
 }
@@ -223,6 +225,108 @@ TEST(RouterEquivalence, TableISuiteMatchesSeedGoldens)
     }
     if (!regen) {
         EXPECT_EQ(golden_idx, std::size(kGoldens));
+    }
+}
+
+// Full-pipeline goldens: what transpile() emits after the optimization
+// loop, not just what the router emits.  One row per Table I circuit x
+// {sabre, nassc} on ibmq_montreal, default TranspileOptions, seed =
+// circuit index.  Regenerate with the same NASSC_REGEN_GOLDENS idiom as
+// kGoldens above (grep '^    {' picks up both tables, in this order).
+
+struct PipelineGolden
+{
+    const char *circuit;
+    const char *router;
+    std::uint64_t fingerprint; ///< QuantumCircuit::fingerprint() of output
+    int cx_total;
+    int depth;
+    int baseline_cx_total; ///< optimize_only() cx_total
+};
+
+// clang-format off
+const PipelineGolden kPipelineGoldens[] = {
+    {"grover_n4", "sabre", 0x76c3a1ebe4c3c74bull, 157, 377, 96},
+    {"grover_n4", "nassc", 0x12bd2033db3be365ull, 141, 411, 96},
+    {"grover_n6", "sabre", 0xb07a4237965befdbull, 885, 1374, 400},
+    {"grover_n6", "nassc", 0xd515b6798e4eeea9ull, 767, 1487, 400},
+    {"grover_n8", "sabre", 0x811a55dc52eb10bfull, 3377, 4681, 1328},
+    {"grover_n8", "nassc", 0xa3c6e39e11389ac9ull, 3042, 5033, 1328},
+    {"vqe_n8", "sabre", 0x10f5e9ae1cb1b44eull, 238, 194, 84},
+    {"vqe_n8", "nassc", 0x61575333dff4d8b4ull, 161, 183, 84},
+    {"vqe_n12", "sabre", 0xb38719d3ba842128ull, 869, 536, 198},
+    {"vqe_n12", "nassc", 0x5da3f1557394e191ull, 660, 553, 198},
+    {"bv_n19", "sabre", 0x151eeeea5cdb9e8bull, 61, 83, 18},
+    {"bv_n19", "nassc", 0x5ed88a1cddfd068full, 69, 105, 18},
+    {"qft_n15", "sabre", 0x62eeecd86133ed1full, 621, 705, 210},
+    {"qft_n15", "nassc", 0xd35f14e94f71d03bull, 627, 696, 210},
+    {"qft_n20", "sabre", 0x25aa42c9c1109c4bull, 1246, 1138, 380},
+    {"qft_n20", "nassc", 0x40a022c062a51f4bull, 1150, 1112, 380},
+    {"qpe_n9", "sabre", 0x2e6e268f66e3ff61ull, 129, 287, 63},
+    {"qpe_n9", "nassc", 0xd4ed6bbaa8f5b027ull, 134, 280, 63},
+    {"adder_n10", "sabre", 0x1af1d7bf9313fa66ull, 134, 204, 65},
+    {"adder_n10", "nassc", 0xe35bb88b2ac0b55eull, 112, 204, 65},
+    {"multiplier_n25", "sabre", 0x33f22128c530c4f4ull, 2422, 2674, 864},
+    {"multiplier_n25", "nassc", 0x5f3a4ac2e6ca89e3ull, 2215, 3144, 864},
+    {"sqn_258", "sabre", 0x911ec596ac23164aull, 10596, 14863, 4468},
+    {"sqn_258", "nassc", 0x1905a210291e6f4eull, 10110, 15984, 4468},
+    {"rd84_253", "sabre", 0x3848bb5fdbee2120ull, 16289, 20765, 6061},
+    {"rd84_253", "nassc", 0xfa52aedb43f0bb44ull, 15352, 23732, 6061},
+    {"co14_215", "sabre", 0x38bf8b33ee128cb2ull, 20923, 26568, 7949},
+    {"co14_215", "nassc", 0x74cfe17eafd73927ull, 20060, 30130, 7949},
+    {"sym9_193", "sabre", 0xb02b09743357e449ull, 42464, 54742, 15709},
+    {"sym9_193", "nassc", 0xc2c8c0bd9499b786ull, 39369, 61604, 15709},
+};
+// clang-format on
+
+TEST(RouterEquivalence, TableIPipelineMatchesGoldens)
+{
+    const bool regen = std::getenv("NASSC_REGEN_GOLDENS") != nullptr;
+    const auto suite = table_benchmarks();
+    const Backend dev = montreal_backend();
+    DistanceCache cache;
+    const struct
+    {
+        const char *tag;
+        RoutingAlgorithm algorithm;
+    } routers[] = {{"sabre", RoutingAlgorithm::kSabre},
+                   {"nassc", RoutingAlgorithm::kNassc}};
+
+    std::size_t golden_idx = 0;
+    for (std::size_t ci = 0; ci < suite.size(); ++ci) {
+        const int baseline_cx = optimize_only(suite[ci].circuit).cx_total;
+        for (const auto &r : routers) {
+            TranspileOptions opts;
+            opts.router = r.algorithm;
+            opts.seed = static_cast<unsigned>(ci);
+            const TranspileResult res =
+                transpile(suite[ci].circuit, dev, opts, cache);
+            const std::uint64_t fp = res.circuit.fingerprint();
+
+            if (regen) {
+                std::printf("    {\"%s\", \"%s\", 0x%016" PRIx64
+                            "ull, %d, %d, %d},\n",
+                            suite[ci].name.c_str(), r.tag, fp, res.cx_total,
+                            res.depth, baseline_cx);
+                continue;
+            }
+
+            ASSERT_LT(golden_idx, std::size(kPipelineGoldens))
+                << "pipeline golden table shorter than the suite — "
+                   "regenerate";
+            const PipelineGolden &g = kPipelineGoldens[golden_idx++];
+            SCOPED_TRACE(std::string(suite[ci].name) + " / " + r.tag);
+            ASSERT_STREQ(g.circuit, suite[ci].name.c_str());
+            ASSERT_STREQ(g.router, r.tag);
+            EXPECT_EQ(g.cx_total, res.cx_total);
+            EXPECT_EQ(g.depth, res.depth);
+            EXPECT_EQ(g.baseline_cx_total, baseline_cx);
+            EXPECT_EQ(g.fingerprint, fp)
+                << "transpiled output diverged from the recorded pipeline";
+        }
+    }
+    if (!regen) {
+        EXPECT_EQ(golden_idx, std::size(kPipelineGoldens));
     }
 }
 

@@ -57,6 +57,7 @@ TEST(RouterGuards, RoutingTerminatesOnAdversarialCircuit)
     // Repeated far-apart pairs on a line maximize swap churn; the
     // watchdog and no-undo rule must keep the router finite.
     Backend dev = linear_backend(8);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(8);
     for (int i = 0; i < 30; ++i) {
         logical.cx(0, 7);
@@ -66,8 +67,7 @@ TEST(RouterGuards, RoutingTerminatesOnAdversarialCircuit)
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     Layout init(8, 8);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_EQ(res.circuit.size() - res.circuit.count(OpKind::kSwap),
               logical.size());
 }
@@ -83,7 +83,8 @@ TEST(RouterGuards, ForcedSwapFailsLoudlyOnIsolatedQubit)
     logical.cx(3, 0);
     RoutingOptions opts;
     Layout init(4, 4);
-    EXPECT_THROW(route_circuit(logical, cm, hop_distance(cm), init, opts),
+    const DenseDistanceProvider dist(hop_distance(cm));
+    EXPECT_THROW(route_circuit(logical, cm, dist, init, opts),
                  std::logic_error);
 }
 
@@ -96,33 +97,34 @@ TEST(RouterGuards, BestSwapFailsLoudlyWhenBothQubitsIsolated)
     logical.cx(2, 3);
     RoutingOptions opts;
     Layout init(4, 4);
-    EXPECT_THROW(route_circuit(logical, cm, hop_distance(cm), init, opts),
+    const DenseDistanceProvider dist(hop_distance(cm));
+    EXPECT_THROW(route_circuit(logical, cm, dist, init, opts),
                  std::logic_error);
 }
 
 TEST(RouterGuards, ZeroExtendedSizeWorks)
 {
     Backend dev = linear_backend(6);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(qft(6));
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     opts.extended_size = 0;
     Layout init(6, 6);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_GT(res.stats.num_swaps, 0);
 }
 
 TEST(RouterGuards, SingleGateCircuit)
 {
     Backend dev = linear_backend(3);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(3);
     logical.cx(0, 2);
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     Layout init(3, 3);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_GE(res.stats.num_swaps, 1);
     QuantumCircuit phys = res.circuit;
     TranspileResult fake;
@@ -139,11 +141,11 @@ TEST(RouterGuards, SingleGateCircuit)
 TEST(RouterGuards, EmptyCircuit)
 {
     Backend dev = linear_backend(4);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(3);
     RoutingOptions opts;
     Layout init(3, 4);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_EQ(res.circuit.size(), 0u);
     EXPECT_EQ(res.stats.num_swaps, 0);
 }
@@ -151,13 +153,13 @@ TEST(RouterGuards, EmptyCircuit)
 TEST(RouterGuards, OneQubitOnlyCircuit)
 {
     Backend dev = linear_backend(4);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(2);
     logical.h(0);
     logical.rz(0.4, 1);
     RoutingOptions opts;
     Layout init(2, 4);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_EQ(res.stats.num_swaps, 0);
     EXPECT_EQ(res.circuit.size(), 2u);
 }

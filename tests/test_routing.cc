@@ -89,11 +89,11 @@ class RouteBackend : public ::testing::TestWithParam<int>
 TEST_P(RouteBackend, AllGatesRoutedAndCoupled)
 {
     Backend dev = backend();
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(qft(5));
     RoutingOptions opts;
     Layout init(logical.num_qubits(), dev.coupling.num_qubits());
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_TRUE(respects_coupling(res.circuit, dev.coupling));
     // Every input gate must appear (swaps extra).
     EXPECT_EQ(res.circuit.size() - res.circuit.count(OpKind::kSwap),
@@ -107,14 +107,14 @@ INSTANTIATE_TEST_SUITE_P(Topologies, RouteBackend,
 TEST(Route, NoSwapsWhenAlreadyCompatible)
 {
     Backend dev = linear_backend(4);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(4);
     logical.cx(0, 1);
     logical.cx(1, 2);
     logical.cx(2, 3);
     RoutingOptions opts;
     Layout init(4, 4);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_EQ(res.stats.num_swaps, 0);
     EXPECT_EQ(res.circuit.size(), 3u);
 }
@@ -122,26 +122,25 @@ TEST(Route, NoSwapsWhenAlreadyCompatible)
 TEST(Route, FullyConnectedNeverSwaps)
 {
     Backend dev = fully_connected_backend(8);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(grover(6));
     RoutingOptions opts;
     Layout init(6, 8);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_EQ(res.stats.num_swaps, 0);
 }
 
 TEST(Route, EquivalenceUnderLayout)
 {
     Backend dev = linear_backend(5);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(cuccaro_adder(1)); // 4 qubits
     for (unsigned seed = 0; seed < 4; ++seed) {
         RoutingOptions opts;
         opts.seed = seed;
-        Layout init = sabre_initial_layout(logical, dev.coupling,
-                                           hop_distance(dev.coupling), opts);
+        Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
         RoutingResult res =
-            route_circuit(logical, dev.coupling, hop_distance(dev.coupling),
-                          init, opts);
+            route_circuit(logical, dev.coupling, dist, init, opts);
         QuantumCircuit phys = res.circuit;
         decompose_swaps(phys, false);
         EXPECT_TRUE(equivalent_with_layout(logical, phys, res.initial_l2p,
@@ -153,6 +152,7 @@ TEST(Route, EquivalenceUnderLayout)
 TEST(Route, HandlesMeasureAndBarrier)
 {
     Backend dev = linear_backend(4);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(3);
     logical.h(0);
     logical.cx(0, 2);
@@ -161,8 +161,7 @@ TEST(Route, HandlesMeasureAndBarrier)
     logical.measure_all();
     RoutingOptions opts;
     Layout init(3, 4);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_EQ(res.circuit.count(OpKind::kMeasure), 3);
     EXPECT_EQ(res.circuit.count(OpKind::kBarrier), 1);
     EXPECT_TRUE(respects_coupling(res.circuit, dev.coupling));
@@ -171,12 +170,12 @@ TEST(Route, HandlesMeasureAndBarrier)
 TEST(Route, RejectsWideGates)
 {
     Backend dev = linear_backend(4);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical(3);
     logical.ccx(0, 1, 2);
     RoutingOptions opts;
     Layout init(3, 4);
-    EXPECT_THROW(route_circuit(logical, dev.coupling,
-                               hop_distance(dev.coupling), init, opts),
+    EXPECT_THROW(route_circuit(logical, dev.coupling, dist, init, opts),
                  std::invalid_argument);
 }
 
@@ -185,6 +184,7 @@ TEST(Route, LookaheadReducesSwapsOnAverage)
     // With lookahead disabled (|E| = 0 weight), SABRE typically needs at
     // least as many swaps across seeds.
     Backend dev = linear_backend(8);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(qft(8));
     long with = 0, without = 0;
     for (unsigned seed = 0; seed < 5; ++seed) {
@@ -193,13 +193,10 @@ TEST(Route, LookaheadReducesSwapsOnAverage)
         RoutingOptions b;
         b.seed = seed;
         b.extended_weight = 0.0;
-        Layout ia = sabre_initial_layout(logical, dev.coupling,
-                                         hop_distance(dev.coupling), a);
-        with += route_circuit(logical, dev.coupling,
-                              hop_distance(dev.coupling), ia, a)
+        Layout ia = sabre_initial_layout(logical, dev.coupling, dist, a);
+        with += route_circuit(logical, dev.coupling, dist, ia, a)
                     .stats.num_swaps;
-        without += route_circuit(logical, dev.coupling,
-                                 hop_distance(dev.coupling), ia, b)
+        without += route_circuit(logical, dev.coupling, dist, ia, b)
                        .stats.num_swaps;
     }
     EXPECT_LE(with, without + 3);
@@ -210,18 +207,16 @@ TEST(Route, SabreLayoutBeatsWorstRandom)
     // Reverse-traversal refinement should not be drastically worse than a
     // raw random layout.
     Backend dev = grid_backend(3, 3);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(grover(6));
     RoutingOptions opts;
     opts.seed = 42;
     std::mt19937 rng(99);
-    Layout refined = sabre_initial_layout(logical, dev.coupling,
-                                          hop_distance(dev.coupling), opts);
+    Layout refined = sabre_initial_layout(logical, dev.coupling, dist, opts);
     Layout raw = Layout::random(6, 9, rng);
-    int s_ref = route_circuit(logical, dev.coupling,
-                              hop_distance(dev.coupling), refined, opts)
+    int s_ref = route_circuit(logical, dev.coupling, dist, refined, opts)
                     .stats.num_swaps;
-    int s_raw = route_circuit(logical, dev.coupling,
-                              hop_distance(dev.coupling), raw, opts)
+    int s_raw = route_circuit(logical, dev.coupling, dist, raw, opts)
                     .stats.num_swaps;
     EXPECT_LE(s_ref, s_raw + 5);
 }
@@ -231,13 +226,12 @@ TEST(Route, SabreLayoutBeatsWorstRandom)
 TEST(Nassc, FlagsAndStatsPopulated)
 {
     Backend dev = linear_backend(10);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(qft(10));
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
-    Layout init = sabre_initial_layout(logical, dev.coupling,
-                                       hop_distance(dev.coupling), opts);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     EXPECT_GT(res.stats.num_swaps, 0);
     // QFT has heavy CP structure: at least one optimization must fire.
     EXPECT_GT(res.stats.c2q_hits + res.stats.commute1_hits +
@@ -249,6 +243,7 @@ TEST(Nassc, DisabledOptimizationsMatchSabreSwapCount)
 {
     // With all b_k = 0, NASSC's cost function degenerates to SABRE's.
     Backend dev = grid_backend(3, 3);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(qft(7));
     RoutingOptions sabre;
     RoutingOptions nassc_off;
@@ -256,12 +251,10 @@ TEST(Nassc, DisabledOptimizationsMatchSabreSwapCount)
     nassc_off.enable_c2q = false;
     nassc_off.enable_commute1 = false;
     nassc_off.enable_commute2 = false;
-    Layout init = sabre_initial_layout(logical, dev.coupling,
-                                       hop_distance(dev.coupling), sabre);
-    RoutingResult rs = route_circuit(logical, dev.coupling,
-                                     hop_distance(dev.coupling), init, sabre);
+    Layout init = sabre_initial_layout(logical, dev.coupling, dist, sabre);
+    RoutingResult rs = route_circuit(logical, dev.coupling, dist, init, sabre);
     RoutingResult rn = route_circuit(
-        logical, dev.coupling, hop_distance(dev.coupling), init, nassc_off);
+        logical, dev.coupling, dist, init, nassc_off);
     EXPECT_EQ(rs.stats.num_swaps, rn.stats.num_swaps);
     EXPECT_EQ(rn.stats.flagged_swaps, 0);
 }
@@ -344,13 +337,12 @@ TEST(Nassc, TrackerCommute2Sandwich)
 TEST(Nassc, EndToEndFlaggedSwapsDecomposeCorrectly)
 {
     Backend dev = linear_backend(5);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     QuantumCircuit logical = decompose_to_2q(qft(5));
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
-    Layout init = sabre_initial_layout(logical, dev.coupling,
-                                       hop_distance(dev.coupling), opts);
-    RoutingResult res = route_circuit(logical, dev.coupling,
-                                      hop_distance(dev.coupling), init, opts);
+    Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
+    RoutingResult res = route_circuit(logical, dev.coupling, dist, init, opts);
     QuantumCircuit phys = res.circuit;
     decompose_swaps(phys, true);
     EXPECT_TRUE(equivalent_with_layout(logical, phys, res.initial_l2p,
@@ -364,6 +356,7 @@ TEST(Nassc, MovedOneQubitGatesPreserveSemantics)
     std::uniform_int_distribution<int> qd(0, 4), kd(0, 5);
     std::uniform_real_distribution<double> ang(-M_PI, M_PI);
     Backend dev = linear_backend(5);
+    const DenseDistanceProvider dist(hop_distance(dev.coupling));
     for (int trial = 0; trial < 5; ++trial) {
         QuantumCircuit logical(5);
         for (int i = 0; i < 60; ++i) {
@@ -379,11 +372,9 @@ TEST(Nassc, MovedOneQubitGatesPreserveSemantics)
         RoutingOptions opts;
         opts.algorithm = RoutingAlgorithm::kNassc;
         opts.seed = trial;
-        Layout init = sabre_initial_layout(
-            logical, dev.coupling, hop_distance(dev.coupling), opts);
+        Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
         RoutingResult res =
-            route_circuit(logical, dev.coupling, hop_distance(dev.coupling),
-                          init, opts);
+            route_circuit(logical, dev.coupling, dist, init, opts);
         QuantumCircuit phys = res.circuit;
         decompose_swaps(phys, true);
         EXPECT_TRUE(equivalent_with_layout(logical, phys, res.initial_l2p,

@@ -9,10 +9,7 @@
 //  (c) the LRU result cache is bounded, evicts least-recently-USED, and
 //      its hit/miss/eviction/coalesce stats add up;
 //  (d) failures propagate to every waiter and are never cached;
-//  (e) BatchTranspiler through a service: submission-order results and
-//      failed-job isolation preserved, duplicates dedupe, report deltas
-//      match;
-//  (f) concurrent mixed-workload clients: every key transpiles exactly
+//  (e) concurrent mixed-workload clients: every key transpiles exactly
 //      once, every client sees the right result.
 
 #include <atomic>
@@ -26,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
-#include "nassc/service/batch_transpiler.h"
 #include "nassc/service/errors.h"
 #include "nassc/service/failpoint.h"
 #include "nassc/service/scheduler.h"
@@ -279,72 +275,6 @@ TEST(TranspileService, RequestKeySeparatesEveryComponent)
     EXPECT_NE(TranspileService::request_key(qc, montreal, other), base);
 }
 
-TEST(TranspileService, BatchThroughServiceKeepsGoldensAndDedupes)
-{
-    auto backend = shared_montreal();
-
-    // A mixed batch with an embedded failure and two duplicate pairs.
-    std::vector<TranspileJob> jobs;
-    auto add = [&](const std::string &tag, QuantumCircuit qc, unsigned seed,
-                   RoutingAlgorithm router) {
-        TranspileJob j;
-        j.tag = tag;
-        j.circuit = std::move(qc);
-        j.backend = backend;
-        j.options.router = router;
-        j.options.seed = seed;
-        jobs.push_back(std::move(j));
-    };
-    add("qft5", qft(5), 1, RoutingAlgorithm::kNassc);
-    add("ghz6", ghz(6), 2, RoutingAlgorithm::kSabre);
-    add("qft5-dup", qft(5), 1, RoutingAlgorithm::kNassc); // dup of 0
-    add("wide", ghz(40), 1, RoutingAlgorithm::kSabre);    // fails
-    add("ghz6-dup", ghz(6), 2, RoutingAlgorithm::kSabre); // dup of 1
-    {
-        TranspileJob no_backend;
-        no_backend.tag = "nobackend";
-        no_backend.circuit = ghz(3);
-        jobs.push_back(std::move(no_backend));
-    }
-
-    // Reference: the direct (service-less) engine.
-    BatchOptions direct;
-    direct.num_threads = 2;
-    const BatchReport want = BatchTranspiler(direct).run(jobs);
-
-    ServiceOptions sopts;
-    sopts.scheduler = std::make_shared<Scheduler>(2);
-    BatchOptions via;
-    via.num_threads = 2;
-    via.service = std::make_shared<TranspileService>(sopts);
-    const BatchReport got = BatchTranspiler(via).run(jobs);
-
-    ASSERT_EQ(got.results.size(), jobs.size());
-    EXPECT_TRUE(got.used_service);
-    EXPECT_EQ(got.num_ok, want.num_ok);
-    EXPECT_EQ(got.num_failed, want.num_failed);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobResult &w = want.results[i];
-        const JobResult &g = got.results[i];
-        EXPECT_EQ(g.index, i);        // submission order preserved
-        EXPECT_EQ(g.tag, w.tag);
-        EXPECT_EQ(g.ok, w.ok);
-        if (w.ok)
-            expect_identical(g.result, w.result, "batch job " + w.tag);
-        else
-            EXPECT_FALSE(g.error.empty()) << w.tag;
-    }
-    // Both duplicate pairs dedupe (coalesce or cache-hit, depending on
-    // timing); the two distinct successes and the failure each ran once.
-    EXPECT_EQ(got.cache_hits + got.coalesced, 2u);
-    EXPECT_EQ(got.transpiles, 3u); // qft5, ghz6, wide(failed)
-    // Route-pass counters measure work PERFORMED: the direct engine ran
-    // both members of each duplicate pair, the service ran one owner —
-    // so the direct report shows exactly double.
-    EXPECT_EQ(want.full_route_passes, 2 * got.full_route_passes);
-    EXPECT_EQ(want.num_route_reused, 2 * got.num_route_reused);
-}
-
 TEST(TranspileService, ConcurrentMixedClientsTranspileEachKeyOnce)
 {
     ServiceOptions sopts;
@@ -574,16 +504,45 @@ TEST(TranspileService, RequestKeyIgnoresDeadlineButFingerprintDoesNot)
 {
     const Backend montreal = montreal_backend();
     const QuantumCircuit qc = ghz(5);
-    TranspileOptions base;
-    TranspileOptions rushed = base;
-    rushed.deadline_ms = 250;
+    const TranspileOptions base;
+    const std::string base_key =
+        TranspileService::request_key(qc, montreal, base);
 
-    // Same cache identity (deadline is QoS)...
-    EXPECT_EQ(TranspileService::request_key(qc, montreal, base),
-              TranspileService::request_key(qc, montreal, rushed));
-    // ...but the option fingerprint must still see the field, or two
-    // genuinely different configurations would collide elsewhere.
-    EXPECT_NE(base.fingerprint(), rushed.fingerprint());
+    // Every output-neutral field, each set alone to a non-default value.
+    const struct
+    {
+        const char *field;
+        void (*set)(TranspileOptions &);
+    } qos_fields[] = {
+        {"priority", [](TranspileOptions &o) { o.priority = 5; }},
+        {"cache_ttl_seconds",
+         [](TranspileOptions &o) { o.cache_ttl_seconds = 30.0; }},
+        {"deadline_ms", [](TranspileOptions &o) { o.deadline_ms = 250; }},
+        {"layout_threads",
+         [](TranspileOptions &o) { o.layout_threads = 3; }},
+        {"reuse_routing",
+         [](TranspileOptions &o) { o.reuse_routing = false; }},
+        {"distance_row_budget_bytes",
+         [](TranspileOptions &o) { o.distance_row_budget_bytes = 4096; }},
+    };
+    for (const auto &f : qos_fields) {
+        TranspileOptions varied = base;
+        f.set(varied);
+        // Same cache identity (the field is QoS)...
+        EXPECT_EQ(base_key,
+                  TranspileService::request_key(qc, montreal, varied))
+            << f.field;
+        // ...but the option fingerprint must still see the field, or
+        // two genuinely different configurations would collide
+        // elsewhere.
+        EXPECT_NE(base.fingerprint(), varied.fingerprint()) << f.field;
+    }
+
+    // An output-deciding field still splits the key.
+    TranspileOptions reseeded = base;
+    reseeded.seed = 1;
+    EXPECT_NE(base_key,
+              TranspileService::request_key(qc, montreal, reseeded));
 }
 
 TEST(TranspileService, CacheInsertFailpointSuppressesAdmission)
