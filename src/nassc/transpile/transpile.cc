@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <optional>
+#include <stdexcept>
 
 #include "nassc/ir/fnv1a.h"
 #include "nassc/obs/metrics.h"
@@ -74,6 +75,12 @@ TranspileResult
 transpile(const QuantumCircuit &qc, const Backend &backend,
           const TranspileOptions &opts, DistanceCache &cache)
 {
+    // Reject an over-wide circuit before any stage sizes per-wire state
+    // by num_qubits(); the layout stage would throw the same error, but
+    // only after lowering and pre-optimization had allocated for it.
+    if (qc.num_qubits() > backend.coupling.num_qubits())
+        throw std::invalid_argument("more logical than physical qubits");
+
     auto t0 = std::chrono::steady_clock::now();
 
     // Install the request budget for this thread (and, through

@@ -13,16 +13,21 @@
 //  (d) cache integration — calibration rotation drops exactly the old
 //      generation's rows (evictions_invalidated) and recomputes each
 //      touched row exactly once in the new generation;
-//  (e) scale — routing a 1123-qubit heavy-hex device end-to-end keeps
-//      distance storage proportional to the rows actually touched, far
+//  (e) scale — a golden table of swaps, rows computed and peak row
+//      bytes over 27..4243-qubit devices; on the sparse provider distance
+//      storage stays proportional to the rows actually touched, far
 //      below the dense n^2 footprint.
 
 #include <algorithm>
 #include <atomic>
 #include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -370,51 +375,114 @@ TEST(DistanceCacheRotation, SameKeyDoesNotInvalidate)
 }
 
 // ---------------------------------------------------------------------
-// (e) scale: 1000+ qubits end to end
+// (e) scale: 27 to 4243 qubits end to end
+//
+// One row per (device, workload) cell: a full default transpile() with
+// router = kSabre through a private DistanceCache, so the row and byte
+// counters are exactly that cell's distance storage.  Regenerate after
+// an *intentional* pipeline change with:
+//
+//   NASSC_REGEN_GOLDENS=1 ./test_distance_provider | grep '^    {'
+//
+// and paste the output into kScaleGoldens.
 
-/** Route ghz(24) on heavy_hex(d); returns (rows touched, device size). */
-std::pair<std::size_t, int>
-routed_row_footprint(int d)
+struct ScaleGolden
 {
-    const Backend device = heavy_hex_backend(d);
-    const int n = device.coupling.num_qubits();
-    DistanceCache cache;
+    const char *device;
+    const char *workload;
+    int num_swaps;
+    std::size_t rows_computed;
+    std::size_t row_bytes_peak;
+};
+
+// clang-format off
+const ScaleGolden kScaleGoldens[] = {
+    {"ibmq_montreal", "ghz24", 31, 27, 5832},
+    {"ibmq_montreal", "qft16", 173, 27, 5832},
+    {"heavy_hex_d7", "ghz24", 51, 129, 133128},
+    {"heavy_hex_d7", "qft16", 168, 129, 133128},
+    {"heavy_hex_d13", "ghz24", 87, 283, 984840},
+    {"heavy_hex_d13", "qft16", 165, 153, 532440},
+    {"heavy_hex_d21", "ghz24", 114, 509, 4572856},
+    {"heavy_hex_d21", "qft16", 131, 375, 3369000},
+    {"heavy_hex_d41", "ghz24", 209, 1155, 39205320},
+    {"heavy_hex_d41", "qft16", 134, 703, 23862632},
+    {"gog_5x5_13x13", "ghz24", 182, 1216, 41100800},
+    {"gog_5x5_13x13", "qft16", 215, 734, 24809200},
+};
+// clang-format on
+
+TEST(ProviderScale, ScalingCellsMatchGoldensWithRowProportionalMemory)
+{
+    // Table-I-class anchor, the published heavy-hex generations (Eagle
+    // 127 / Osprey 433 / Condor 1121 scale) and a 4k-qubit multi-chip
+    // grid-of-grids.  Devices above the default sparse_distance_threshold
+    // (256) run on the lazy row provider — the production configuration.
+    std::vector<Backend> devices;
+    devices.push_back(montreal_backend());
+    for (int d : {7, 13, 21, 41})
+        devices.push_back(heavy_hex_backend(d));
+    devices.push_back(grid_of_grids_backend(5, 5, 13, 13));
+    const std::pair<const char *, QuantumCircuit> workloads[] = {
+        {"ghz24", ghz(24)},
+        {"qft16", qft(16)},
+    };
+
+    const bool regen = std::getenv("NASSC_REGEN_GOLDENS") != nullptr;
     TranspileOptions opts;
-    opts.router = RoutingAlgorithm::kSabre; // fastest full pipeline
-    // Default sparse_distance_threshold (256) already puts these devices
-    // on the sparse provider — this is the production configuration.
-    const TranspileResult res = transpile(ghz(24), device, opts, cache);
-    EXPECT_GT(res.circuit.size(), 0u);
+    opts.router = RoutingAlgorithm::kSabre;
+    std::size_t golden_idx = 0;
+    double ghz_fraction_1k = 0.0, ghz_fraction_4k = 0.0;
+    for (const Backend &dev : devices) {
+        const int n = dev.coupling.num_qubits();
+        for (const auto &[wname, circuit] : workloads) {
+            DistanceCache cache;
+            const TranspileResult res = transpile(circuit, dev, opts, cache);
+            const DistanceCache::Stats s = cache.stats();
+            if (regen) {
+                std::printf("    {\"%s\", \"%s\", %d, %zu, %zu},\n",
+                            dev.name.c_str(), wname,
+                            res.routing_stats.num_swaps, s.rows_computed,
+                            s.row_bytes_peak);
+                continue;
+            }
 
-    const DistanceCache::Stats s = cache.stats();
-    const std::size_t row_bytes = static_cast<std::size_t>(n) * 8;
-    // Distance storage is exactly proportional to rows touched, with no
-    // eviction churn when no byte budget is set.
-    EXPECT_EQ(s.row_bytes, s.rows_computed * row_bytes);
-    EXPECT_EQ(s.row_bytes_peak, s.row_bytes);
-    EXPECT_LT(s.rows_computed, static_cast<std::size_t>(n));
-    return {s.rows_computed, n};
-}
+            ASSERT_LT(golden_idx, std::size(kScaleGoldens))
+                << "scale golden table shorter than the sweep — regenerate";
+            const ScaleGolden &g = kScaleGoldens[golden_idx++];
+            SCOPED_TRACE(dev.name + " / " + wname);
+            ASSERT_EQ(g.device, dev.name);
+            ASSERT_STREQ(g.workload, wname);
+            EXPECT_EQ(g.num_swaps, res.routing_stats.num_swaps);
+            EXPECT_EQ(g.rows_computed, s.rows_computed);
+            EXPECT_EQ(g.row_bytes_peak, s.row_bytes_peak);
 
-TEST(ProviderScale, HeavyHexRoutesWithRowProportionalMemory)
-{
-    // Routing a fixed 24-qubit workload end to end on Condor-class and
-    // beyond-Condor-class lattices: the rows the pipeline touches track
-    // the workload's walk, not the device, so the resident fraction of
-    // the dense n^2 matrix SHRINKS as the topology axis scales (the
-    // measured footprint is ~0.45 * dense at 1123 qubits and ~0.27 *
-    // dense at 4243 — deterministic, seeded pipeline).
-    const auto [rows_1k, n_1k] = routed_row_footprint(21);
-    ASSERT_EQ(n_1k, 1123);
-    EXPECT_LT(rows_1k, static_cast<std::size_t>(n_1k) / 2);
+            if (n <= opts.sparse_distance_threshold)
+                continue;
+            // Sparse storage is exactly proportional to rows touched,
+            // with no eviction churn when no byte budget is set.
+            const std::size_t row_bytes = static_cast<std::size_t>(n) * 8;
+            EXPECT_EQ(s.row_bytes, s.rows_computed * row_bytes);
+            EXPECT_EQ(s.row_bytes_peak, s.row_bytes);
+            EXPECT_LT(s.rows_computed, static_cast<std::size_t>(n));
+            const double fraction = static_cast<double>(s.rows_computed) / n;
+            if (dev.name == "heavy_hex_d21" && wname == std::string("ghz24"))
+                ghz_fraction_1k = fraction;
+            if (dev.name == "heavy_hex_d41" && wname == std::string("ghz24"))
+                ghz_fraction_4k = fraction;
+        }
+    }
+    if (regen)
+        return;
+    EXPECT_EQ(golden_idx, std::size(kScaleGoldens));
 
-    const auto [rows_4k, n_4k] = routed_row_footprint(41);
-    ASSERT_EQ(n_4k, 4243);
-    EXPECT_LT(rows_4k, static_cast<std::size_t>(n_4k) / 3);
-
-    // Sublinear growth across a 3.8x device-size jump.
-    EXPECT_LT(static_cast<double>(rows_4k) / n_4k,
-              static_cast<double>(rows_1k) / n_1k);
+    // The rows the pipeline touches track the workload's walk, not the
+    // device, so the resident fraction of the dense n^2 matrix SHRINKS
+    // as the topology axis scales: ~0.45 of dense at 1123 qubits and
+    // ~0.27 at 4243, sublinear across a 3.8x device-size jump.
+    EXPECT_LT(ghz_fraction_1k, 0.5);
+    EXPECT_LT(ghz_fraction_4k, 1.0 / 3);
+    EXPECT_LT(ghz_fraction_4k, ghz_fraction_1k);
 }
 
 } // namespace

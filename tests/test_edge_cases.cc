@@ -39,6 +39,23 @@ TEST(EdgeCases, TranspileRejectsOversizedCircuit)
     EXPECT_THROW(transpile(qc, dev, opts), std::invalid_argument);
 }
 
+TEST(EdgeCases, TranspileRejectsOverWideCircuitBeforeAllocating)
+{
+    // A two-gate circuit declaring 10^8 qubits: every pipeline stage
+    // sizes per-wire state by num_qubits(), so the width check has to
+    // come first or the lowering and pre-optimization passes allocate
+    // gigabytes before the layout stage rejects it.
+    const QuantumCircuit qc =
+        from_qasm("qreg q[100000000]; h q[0]; cx q[0], q[1];");
+    TranspileOptions opts;
+    try {
+        (void)transpile(qc, montreal_backend(), opts);
+        FAIL() << "over-wide circuit was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "more logical than physical qubits");
+    }
+}
+
 TEST(EdgeCases, StatevectorRejectsHugeRegister)
 {
     EXPECT_THROW(Statevector(27), std::invalid_argument);
