@@ -9,7 +9,7 @@
 // Other modes:
 //
 //   --builtin NAME   transpile a library benchmark circuit by name
-//   --stats          print the daemon's ServiceStats snapshot
+//   --stats          print the daemon's counters (flat view of --metrics)
 //   --metrics        scrape the daemon's Prometheus text exposition
 //                    (a sharded front door answers with the fleet's
 //                    bucket-exact histogram merge)

@@ -15,7 +15,9 @@
 // request keyspace; the front forwards frames to the owning shard
 // (serve/shard_router.h) and the supervisor (serve/supervisor.h)
 // restarts crashed workers with backoff, quarantines flappers, and
-// SIGKILLs hung ones.  `stats` answers with the fleet-merged snapshot.
+// SIGKILLs hung ones.  `metrics` answers with the fleet-merged scrape,
+// and `stats` with its flat view plus the front's routing and
+// supervisor rows.
 //
 //   nasscd --unix /tmp/nassc.sock --shards 3
 //

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace nassc {
@@ -39,6 +40,22 @@ append_i64(std::string &out, std::int64_t v)
     char buf[24];
     std::snprintf(buf, sizeof buf, "%" PRId64, v);
     out += buf;
+}
+
+/** Call `fn(line)` for each non-empty line of `body`. */
+template <class Fn>
+void
+for_each_line(const std::string &body, Fn &&fn)
+{
+    std::size_t pos = 0;
+    while (pos < body.size()) {
+        std::size_t eol = body.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = body.size();
+        if (eol > pos)
+            fn(body.substr(pos, eol - pos));
+        pos = eol + 1;
+    }
 }
 
 } // namespace
@@ -249,6 +266,38 @@ MetricsRegistry::reset()
         m->reset();
 }
 
+bool
+parse_u64(const std::string &text, std::uint64_t &value)
+{
+    if (text.empty())
+        return false;
+    value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+            return false;
+        value = value * 10 + digit;
+    }
+    return true;
+}
+
+void
+render_sample(std::string &out, const std::string &name, const char *type,
+              std::uint64_t value)
+{
+    out += "# TYPE ";
+    out += name;
+    out += ' ';
+    out += type;
+    out += '\n';
+    out += name;
+    out += ' ';
+    append_u64(out, value);
+    out += '\n';
+}
+
 std::string
 merge_prometheus(const std::vector<std::string> &bodies)
 {
@@ -261,49 +310,24 @@ merge_prometheus(const std::vector<std::string> &bodies)
     };
     std::vector<Entry> order;
     std::unordered_map<std::string, std::size_t> by_key; // samples only
-    std::unordered_map<std::string, bool> seen_comment;
+    std::unordered_map<std::string, bool> seen_line;     // passthroughs
 
     for (const std::string &body : bodies) {
-        std::size_t pos = 0;
-        while (pos < body.size()) {
-            std::size_t eol = body.find('\n', pos);
-            if (eol == std::string::npos)
-                eol = body.size();
-            const std::string line = body.substr(pos, eol - pos);
-            pos = eol + 1;
-            if (line.empty())
-                continue;
-            if (line[0] == '#') {
-                if (!seen_comment.emplace(line, true).second)
-                    continue;
-                Entry e;
-                e.line = line;
-                order.push_back(std::move(e));
-                continue;
-            }
+        for_each_line(body, [&](const std::string &line) {
             // Sample line: "<key> <value>".  Values are unsigned
             // integers by construction (counts, bucket counts, sums of
-            // microseconds); anything else passes through once.
+            // microseconds); comments and anything else, including a
+            // value too large for u64, pass through once.
             const std::size_t sp = line.rfind(' ');
-            bool numeric = sp != std::string::npos && sp + 1 < line.size();
             std::uint64_t value = 0;
-            if (numeric) {
-                for (std::size_t i = sp + 1; i < line.size(); ++i) {
-                    const char c = line[i];
-                    if (c < '0' || c > '9') {
-                        numeric = false;
-                        break;
-                    }
-                    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+            if (line[0] == '#' || sp == std::string::npos ||
+                !parse_u64(line.substr(sp + 1), value)) {
+                if (seen_line.emplace(line, true).second) {
+                    Entry e;
+                    e.line = line;
+                    order.push_back(std::move(e));
                 }
-            }
-            if (!numeric) {
-                if (!seen_comment.emplace(line, true).second)
-                    continue;
-                Entry e;
-                e.line = line;
-                order.push_back(std::move(e));
-                continue;
+                return;
             }
             const std::string key = line.substr(0, sp);
             auto it = by_key.find(key);
@@ -317,7 +341,7 @@ merge_prometheus(const std::vector<std::string> &bodies)
                 by_key.emplace(key, order.size());
                 order.push_back(std::move(e));
             }
-        }
+        });
     }
 
     std::string out;
@@ -334,23 +358,40 @@ merge_prometheus(const std::vector<std::string> &bodies)
     return out;
 }
 
+std::vector<std::pair<std::string, std::string>>
+stats_rows(const std::string &body)
+{
+    std::unordered_map<std::string, std::string> types; // name -> type
+    std::vector<std::pair<std::string, std::string>> rows;
+    for_each_line(body, [&](const std::string &line) {
+        const std::size_t sp = line.rfind(' ');
+        if (line.rfind("# TYPE ", 0) == 0) {
+            if (sp > 7)
+                types[line.substr(7, sp - 7)] = line.substr(sp + 1);
+            return;
+        }
+        if (line[0] == '#' || sp == std::string::npos)
+            return;
+        // Histogram samples (`_bucket{…}`, `_sum`, `_count`) never
+        // match a TYPE name, so the lookup skips them with the
+        // untyped lines.
+        std::string name = line.substr(0, sp);
+        const auto type = types.find(name);
+        if (type == types.end() ||
+            (type->second != "counter" && type->second != "gauge"))
+            return;
+        if (type->second == "counter" && name.size() > 6 &&
+            name.compare(name.size() - 6, 6, "_total") == 0)
+            name.resize(name.size() - 6);
+        if (name.rfind("nassc_", 0) == 0)
+            name.erase(0, 6);
+        rows.emplace_back(std::move(name), line.substr(sp + 1));
+    });
+    return rows;
+}
+
 StackMetrics::StackMetrics(MetricsRegistry &reg)
-    : requests_total(reg.counter("nassc_requests_total",
-                                 "Transpile requests admitted to submit()")),
-      cache_hits_total(
-          reg.counter("nassc_cache_hits_total", "Result-cache hits")),
-      coalesced_total(reg.counter("nassc_coalesced_total",
-                                  "Requests coalesced onto in-flight work")),
-      shed_total(reg.counter("nassc_shed_total",
-                             "Requests shed by admission control")),
-      deadline_exceeded_total(
-          reg.counter("nassc_deadline_exceeded_total",
-                      "Requests settled past their deadline")),
-      transpiles_ok_total(
-          reg.counter("nassc_transpiles_ok_total", "Transpiles completed")),
-      transpiles_failed_total(
-          reg.counter("nassc_transpiles_failed_total", "Transpiles failed")),
-      slow_requests_total(
+    : slow_requests(
           reg.counter("nassc_slow_requests_total",
                       "Requests over the slow-request threshold")),
       decode_us(reg.histogram("nassc_decode_us",

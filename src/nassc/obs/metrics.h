@@ -21,12 +21,16 @@
  *     merge_prometheus() rely on this.
  *  3. Exposure is Prometheus text exposition (render()): `# TYPE`
  *     headers, cumulative `_bucket{le="N"}` samples, `_sum`/`_count`.
- *     The nasscd `metrics` verb returns exactly this body.
  *
  * MetricsRegistry::global() is the process-wide registry every
- * built-in instrument (StackMetrics) lives in; local registries are
- * constructible for tests (merge exactness is unit-tested against
- * three local registries rendered and merged by hand).
+ * built-in instrument (StackMetrics) lives in; it holds only
+ * per-process instruments (latency histograms, slow requests).  Per-
+ * service counters stay in ServiceStats and DistanceCache::Stats, their
+ * only source: the nasscd `metrics` verb appends them to render() as
+ * samples (render_sample()), and the `stats` verb is stats_rows() of
+ * that same body.  Local registries are constructible for tests (merge
+ * exactness is unit-tested against three local registries rendered and
+ * merged by hand).
  */
 
 #include <array>
@@ -36,6 +40,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace nassc {
@@ -202,7 +207,7 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    /** The process-wide registry (what the `metrics` verb renders). */
+    /** The process-wide registry (the per-process part of `metrics`). */
     static MetricsRegistry &global();
 
     /** @throws std::logic_error when `name` exists with another type. */
@@ -225,16 +230,35 @@ class MetricsRegistry
     std::unordered_map<std::string, Metric *> index_;
 };
 
+/** Strict decimal parse: digits only, no sign or whitespace, and the
+ *  value must fit in u64.  False (value unspecified) otherwise. */
+bool parse_u64(const std::string &text, std::uint64_t &value);
+
+/** Append one unlabelled sample with its `# TYPE` header. */
+void render_sample(std::string &out, const std::string &name,
+                   const char *type, std::uint64_t value);
+
 /**
  * Merge Prometheus text bodies from N processes sharing this module's
  * fixed bucket bounds: sample lines with identical keys (metric name +
  * label set) are integer-summed — exact for counters and for
  * cumulative histogram buckets — and `#` header lines are kept once.
  * Line order follows first appearance, so merging per-shard scrapes of
- * identically-registered registries preserves their layout.
- * Non-numeric sample lines pass through from their first body.
+ * identically-registered registries preserves their layout.  Sample
+ * lines whose value is not a u64 (see parse_u64) pass through once,
+ * from their first body.
  */
 std::string merge_prometheus(const std::vector<std::string> &bodies);
+
+/**
+ * The flat `stats` view of an exposition body: one (row, value) pair
+ * per unlabelled counter or gauge sample, in body order, named after
+ * the sample with a leading `nassc_` and a counter's trailing `_total`
+ * stripped.  Histogram samples and untyped lines are skipped; values
+ * are passed through verbatim.
+ */
+std::vector<std::pair<std::string, std::string>>
+stats_rows(const std::string &body);
 
 /**
  * The stack's built-in instruments, registered in the global registry
@@ -243,14 +267,7 @@ std::string merge_prometheus(const std::vector<std::string> &bodies);
  */
 struct StackMetrics
 {
-    Counter &requests_total;           ///< TranspileService::submit calls
-    Counter &cache_hits_total;
-    Counter &coalesced_total;
-    Counter &shed_total;               ///< admission-control rejections
-    Counter &deadline_exceeded_total;  ///< requests settled past budget
-    Counter &transpiles_ok_total;
-    Counter &transpiles_failed_total;
-    Counter &slow_requests_total;      ///< over EventLog's slow threshold
+    Counter &slow_requests;            ///< over EventLog's slow threshold
     Histogram &decode_us;              ///< wire payload -> ServeRequest
     Histogram &admission_us;           ///< submit() critical section
     Histogram &queue_wait_us;          ///< submit -> worker claim

@@ -15,6 +15,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "nassc/obs/metrics.h"
+
 namespace nassc {
 
 namespace {
@@ -27,25 +29,15 @@ sys_fail(const std::string &what)
 }
 
 /** Stat rows to a numeric map, skipping rows that are not plain
- *  decimal integers (a sharded front door passes some worker rows
- *  through verbatim) — one odd row must not fail the whole fetch. */
+ *  decimal u64s (extra_stats and registry gauges may carry other
+ *  text) — one odd row must not fail the whole fetch. */
 std::map<std::string, std::uint64_t>
 stats_to_map(const std::vector<std::pair<std::string, std::string>> &rows)
 {
     std::map<std::string, std::uint64_t> out;
     for (const auto &kv : rows) {
-        if (kv.second.empty() || kv.second.size() > 20)
-            continue;
         std::uint64_t value = 0;
-        bool numeric = true;
-        for (char c : kv.second) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (numeric)
+        if (obs::parse_u64(kv.second, value))
             out[kv.first] = value;
     }
     return out;

@@ -72,9 +72,9 @@ class ServeClient
                    const std::vector<std::pair<std::string, std::string>>
                        &options = {});
 
-    /** Fetch the daemon's ServiceStats snapshot as a name->value map.
-     *  Rows whose values are not decimal integers (a front door passes
-     *  some through verbatim) are skipped, not fatal. */
+    /** Fetch the daemon's `stats` rows (the flat view of `metrics`)
+     *  as a name->value map.  Rows whose values are not decimal u64s
+     *  are skipped, not fatal. */
     std::map<std::string, std::uint64_t> stats();
 
     /** Fetch the daemon's metrics as Prometheus text exposition (a

@@ -32,10 +32,12 @@
  *     qasm
  *     <OpenQASM 2.0 body, verbatim to end of payload>
  *
- * `metrics` returns the process's MetricsRegistry as Prometheus text
- * exposition; a sharded front door returns the bucket-exact merge of
- * its live workers' registries instead (obs::merge_prometheus — legal
- * because every histogram shares one fixed bucket-bound table).
+ * `metrics` returns Prometheus text exposition: the process's
+ * MetricsRegistry plus the service's counters and gauges; a sharded
+ * front door returns the bucket-exact merge of its live workers' bodies
+ * instead (obs::merge_prometheus — legal because every histogram shares
+ * one fixed bucket-bound table).  `stats` returns the same snapshot as
+ * flat `stat` rows (obs::stats_rows), plus a front door's routing rows.
  *
  * Response payload:
  *
@@ -49,7 +51,8 @@
  *     span <name> <us>         (trace=1 only: one per recorded stage,
  *                               e.g. decode, admission, queue_wait,
  *                               layout_trial, routing, cache_insert)
- *     stat <key>=<value>       (ServiceStats snapshot; stats+transpile)
+ *     stat <key>=<value>       (stats verb only: one row per counter
+ *                               or gauge of the metrics snapshot)
  *     metrics                  (metrics verb only)
  *     <Prometheus text exposition, verbatim to end of payload>
  *     qasm                     (transpile only)
@@ -62,8 +65,9 @@
  * pure).
  *
  * `source` is the per-request delta (what this request cost the
- * service); the `stat` lines are a point-in-time snapshot of the whole
- * service, so concurrent clients see interleaved counter motion.
+ * service); the `stat` lines of a `stats` response are a point-in-time
+ * snapshot of the whole service, so concurrent clients see interleaved
+ * counter motion.
  *
  * The routed QASM body is produced by ir/qasm.h's to_qasm() on the
  * exact TranspileResult the in-process API would hand back, so a
@@ -117,7 +121,7 @@ struct ServeResponse
     std::string trace_id;
     /** Per-stage spans, wire order: (stage name, microseconds). */
     std::vector<std::pair<std::string, std::uint64_t>> spans;
-    /** ServiceStats snapshot as key=value pairs, in wire order. */
+    /** `stats` rows as key=value pairs, in wire order. */
     std::vector<std::pair<std::string, std::string>> stats;
     /** Prometheus text exposition body (metrics verb only). */
     std::string metrics;

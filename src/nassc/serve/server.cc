@@ -58,42 +58,51 @@ source_name(TicketSource source)
     return "unknown";
 }
 
-std::vector<std::pair<std::string, std::string>>
-stats_pairs(const TranspileService &service)
+/** A worker's `metrics` body: the process-wide registry, then the
+ *  service and distance-cache counters rendered from their only
+ *  source (ServiceStats, DistanceCache::Stats).  Monotonic rows are
+ *  counters `nassc_<row>_total`; occupancy rows are gauges
+ *  `nassc_<row>`.  `stats` is obs::stats_rows() of this body. */
+std::string
+metrics_body(const TranspileService &service)
 {
     const ServiceStats s = service.stats();
     const DistanceCache::Stats d = service.distance_cache().stats();
-    auto u = [](std::uint64_t v) { return std::to_string(v); };
-    auto z = [](std::size_t v) { return std::to_string(v); };
-    return {
-        {"requests", u(s.requests)},
-        {"cache_hits", u(s.cache_hits)},
-        {"coalesced", u(s.coalesced)},
-        {"misses", u(s.misses)},
-        {"evictions_capacity", u(s.evictions_capacity)},
-        {"evictions_invalidated", u(s.evictions_invalidated)},
-        {"cancelled", u(s.cancelled)},
-        {"shed", u(s.shed)},
-        {"deadline_exceeded", u(s.deadline_exceeded)},
-        {"transpiles_ok", u(s.transpiles_ok)},
-        {"transpiles_failed", u(s.transpiles_failed)},
-        {"cache_size", std::to_string(s.cache_size)},
-        {"cache_bytes", std::to_string(s.cache_bytes)},
-        {"inflight", std::to_string(s.inflight)},
-        // Distance-cache rows: provider-level compute/hit counts plus
-        // the sparse providers' per-row counters, so operators can see
-        // lazy-row pressure (and rotation invalidations) per shard.
-        // All numeric, so ShardRouter::merged_stats() sums them.
-        {"distance_entries", z(d.entries)},
-        {"distance_computations", z(d.computations)},
-        {"distance_hits", z(d.hits)},
-        {"distance_evictions_invalidated", z(d.evictions_invalidated)},
-        {"distance_rows_computed", z(d.rows_computed)},
-        {"distance_row_hits", z(d.row_hits)},
-        {"distance_rows_evicted", z(d.rows_evicted)},
-        {"distance_row_bytes", z(d.row_bytes)},
-        {"distance_row_bytes_peak", z(d.row_bytes_peak)},
+    std::string out = obs::MetricsRegistry::global().render();
+    auto counter = [&out](const char *row, std::uint64_t v) {
+        obs::render_sample(out, std::string("nassc_") + row + "_total",
+                           "counter", v);
     };
+    auto gauge = [&out](const char *row, std::uint64_t v) {
+        obs::render_sample(out, std::string("nassc_") + row, "gauge", v);
+    };
+    counter("requests", s.requests);
+    counter("cache_hits", s.cache_hits);
+    counter("coalesced", s.coalesced);
+    counter("misses", s.misses);
+    counter("evictions_capacity", s.evictions_capacity);
+    counter("evictions_invalidated", s.evictions_invalidated);
+    counter("cancelled", s.cancelled);
+    counter("shed", s.shed);
+    counter("deadline_exceeded", s.deadline_exceeded);
+    counter("transpiles_ok", s.transpiles_ok);
+    counter("transpiles_failed", s.transpiles_failed);
+    gauge("cache_size", s.cache_size);
+    gauge("cache_bytes", s.cache_bytes);
+    gauge("inflight", s.inflight);
+    // Distance-cache rows: provider-level compute/hit counts plus the
+    // sparse providers' per-row counters, so operators can see lazy-row
+    // pressure (and rotation invalidations) per shard.
+    gauge("distance_entries", d.entries);
+    counter("distance_computations", d.computations);
+    counter("distance_hits", d.hits);
+    counter("distance_evictions_invalidated", d.evictions_invalidated);
+    counter("distance_rows_computed", d.rows_computed);
+    counter("distance_row_hits", d.row_hits);
+    counter("distance_rows_evicted", d.rows_evicted);
+    gauge("distance_row_bytes", d.row_bytes);
+    gauge("distance_row_bytes_peak", d.row_bytes_peak);
+    return out;
 }
 
 /** Did the client opt into span response lines?  `trace` is a
@@ -279,22 +288,24 @@ struct NasscServer::Impl
             response.status = "ok";
             return response;
         }
-        if (request.verb == "stats") {
+        if (request.verb == "stats" || request.verb == "metrics") {
+            // One snapshot serves both verbs: Prometheus text for
+            // `metrics`, its flat stats_rows() view for `stats`.  A
+            // front door reads the bucket-exact merge of its live
+            // workers' bodies (its own registry and service see no
+            // transpiles) and appends its own routing rows to `stats`.
             response.status = "ok";
-            response.stats = options.shard_router
-                                 ? options.shard_router->merged_stats()
-                                 : stats_pairs(*service);
-            return response;
-        }
-        if (request.verb == "metrics") {
-            // Prometheus text exposition.  A front door answers with
-            // the bucket-exact merge of its live workers' registries
-            // (the front's own registry sees no transpiles, mirroring
-            // merged_stats' worker-only sums).
-            response.status = "ok";
-            response.metrics = options.shard_router
-                                   ? options.shard_router->merged_metrics()
-                                   : obs::MetricsRegistry::global().render();
+            const std::string body =
+                options.shard_router ? options.shard_router->merged_metrics()
+                                     : metrics_body(*service);
+            if (request.verb == "metrics") {
+                response.metrics = body;
+                return response;
+            }
+            response.stats = obs::stats_rows(body);
+            if (options.shard_router)
+                for (auto &row : options.shard_router->front_stats())
+                    response.stats.push_back(std::move(row));
             return response;
         }
         const std::shared_ptr<const Backend> backend =
@@ -329,7 +340,6 @@ struct NasscServer::Impl
         response.degraded = result->degraded;
         if (result->degraded)
             response.trials_consumed = result->layout_trials_consumed;
-        response.stats = stats_pairs(*service);
         response.status = "ok";
         return response;
     }
@@ -396,7 +406,7 @@ struct NasscServer::Impl
             obs::EventLog &events = obs::EventLog::global();
             const std::uint64_t slow = events.slow_threshold_us();
             if (slow != 0 && total_us >= slow) {
-                om.slow_requests_total.inc();
+                om.slow_requests.inc();
                 events.append(obs::format_event(
                     "slow_request",
                     {{"trace", tracer ? tracer->id() : ""},

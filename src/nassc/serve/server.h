@@ -33,6 +33,12 @@
  * written — and the call joins all threads before returning.  The
  * destructor calls stop().
  *
+ * Counters: `metrics` renders the process-wide obs registry plus this
+ * server's ServiceStats and DistanceCache::Stats, and `stats` is the
+ * flat view of that same body (obs::stats_rows), so the two verbs
+ * cannot disagree.  Service counters are per server; the registry's
+ * histograms and slow-request counter are per process.
+ *
  * Backends are served from a small registry keyed by name (montreal,
  * linear, grid by default); register_backend() adds or REPLACES an
  * entry, which is how calibration rotation reaches the daemon — the
@@ -87,8 +93,9 @@ struct ServerOptions
     /**
      * Non-null: front-door mode (nasscd --shards N).  transpile frames
      * are forwarded RAW to the shard owning their request key
-     * (serve/shard_router.h) and `stats` answers with the fleet-merged
-     * snapshot; only `ping` stays local.  The local service still
+     * (serve/shard_router.h), and `metrics` and `stats` answer with
+     * the fleet-merged snapshot (plus the router's own rows on
+     * `stats`); only `ping` stays local.  The local service still
      * exists but sees no traffic.  Sharded requests do NOT get
      * default_deadline_ms applied at the front — workers apply their
      * own default, so a deadline is charged once, not twice.

@@ -228,85 +228,10 @@ ShardRouter::forward(const std::string &key, const std::string &payload,
                               " attempts; last error: " + last_error);
 }
 
-namespace {
-
-/** Strict decimal-integer parse for stat merging: digits only, no
- *  sign/whitespace/trailing junk, must fit uint64.  stoull is too
- *  permissive ("12abc" parses) and throwing it inside the shard-fatal
- *  try used to mark a HEALTHY shard dead over one odd row. */
-bool
-parse_stat_u64(const std::string &text, std::uint64_t &value)
-{
-    if (text.empty() || text.size() > 20)
-        return false;
-    value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-            return false;
-        value = value * 10 + digit;
-    }
-    return true;
-}
-
-} // namespace
-
 std::vector<std::pair<std::string, std::string>>
-ShardRouter::merged_stats()
+ShardRouter::front_stats() const
 {
-    // Sum per-key over every shard that answers.  std::map keeps the
-    // output ordering deterministic for tests and humans.
-    std::map<std::string, std::uint64_t> sums;
-    // Rows a shard reports that we cannot sum (non-numeric values).
-    // They pass through namespaced per-shard — visibly, not silently
-    // dropped — and merge_skipped counts how many there were.
-    std::vector<std::pair<std::string, std::string>> passthrough;
-    std::uint64_t merge_skipped = 0;
-    ServeRequest stats_req;
-    stats_req.verb = "stats";
-    const std::string stats_payload = encode_request(stats_req);
-    for (int shard = 0; shard < shard_count(); ++shard) {
-        ShardState &state = *states_[static_cast<std::size_t>(shard)];
-        if (!state.live.load(std::memory_order_acquire))
-            continue;
-        std::vector<std::pair<std::string, std::string>> rows;
-        try {
-            ServeClient client = acquire(state);
-            ServeResponse resp =
-                parse_response(roundtrip(client, stats_payload));
-            if (resp.status != "ok")
-                throw std::runtime_error("shard stats error: " + resp.error);
-            release(state, std::move(client));
-            rows = std::move(resp.stats);
-        } catch (const std::exception &) {
-            forward_errors_.fetch_add(1, std::memory_order_relaxed);
-            mark_dead(shard);
-            continue;
-        }
-        // Row interpretation happens OUTSIDE the shard-fatal try: a
-        // non-numeric value is a presentation problem, not a transport
-        // fault, and must never kill the shard.
-        for (auto &kv : rows) {
-            std::uint64_t value = 0;
-            if (parse_stat_u64(kv.second, value)) {
-                sums[kv.first] += value;
-            } else {
-                ++merge_skipped;
-                passthrough.emplace_back("shard" + std::to_string(shard) +
-                                             "_" + kv.first,
-                                         std::move(kv.second));
-            }
-        }
-    }
     std::vector<std::pair<std::string, std::string>> out;
-    out.reserve(sums.size() + passthrough.size() + 9);
-    for (const auto &kv : sums)
-        out.emplace_back(kv.first, std::to_string(kv.second));
-    for (auto &kv : passthrough)
-        out.push_back(std::move(kv));
-    out.emplace_back("merge_skipped", std::to_string(merge_skipped));
     out.emplace_back("shards", std::to_string(shard_count()));
     out.emplace_back("shards_live", std::to_string(live_count()));
     out.emplace_back("forwards", std::to_string(forwards_.load(

@@ -43,15 +43,19 @@
  * ping health checks and SIGCHLD exit notifications drive the same
  * mark_live()/mark_dead() edges from outside.
  *
- * Thread safety: forward() and merged_stats() are safe from any number
- * of connection threads; per-shard connection pools are mutex'd and
- * liveness is atomics.
+ * Counters: the front keeps only its own routing counters
+ * (front_stats()).  Worker counters are read through merged_metrics(),
+ * one fan-out whose merged body answers both `metrics` and, through
+ * obs::stats_rows(), `stats`.
+ *
+ * Thread safety: forward() and merged_metrics() are safe from any
+ * number of connection threads; per-shard connection pools are mutex'd
+ * and liveness is atomics.
  */
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,10 +122,9 @@ struct ShardRouterOptions
     int probe_interval_ms = 250;
     /** Idle pooled connections kept per shard. */
     std::size_t pool_cap_per_shard = 8;
-    /** Extra rows appended to merged_stats() — the supervisor hooks
-     *  its restart/quarantine counters in here.  Numeric values sum
-     *  across scrapes like any other stat; non-numeric values pass
-     *  through verbatim (merged_stats only sums worker rows). */
+    /** Extra rows appended to front_stats() — the supervisor hooks
+     *  its restart/quarantine counters in here.  Passed through
+     *  verbatim. */
     std::function<std::vector<std::pair<std::string, std::string>>()>
         extra_stats;
 };
@@ -161,23 +164,19 @@ class ShardRouter
                         const std::string &trace_id = std::string());
 
     /**
-     * `stats` fanned out to every live shard and summed per key, plus
-     * the front door's own rows: shards, shards_live, forwards,
-     * failovers, forward_errors, shard<i>_live, and the options'
-     * extra_stats.  A shard that faults mid-fan-out is marked dead and
-     * skipped — stats never fail, they narrow.  Worker rows whose
-     * values are not decimal integers cannot be summed; they pass
-     * through per-shard as `shard<i>_<key>` and are counted in a
-     * `merge_skipped` row instead of being silently dropped.
+     * The front door's own `stats` rows: shards, shards_live, forwards,
+     * failovers, forward_errors, shard<i>_live, then the options'
+     * extra_stats.  Worker rows come from merged_metrics().
      */
-    std::vector<std::pair<std::string, std::string>> merged_stats();
+    std::vector<std::pair<std::string, std::string>> front_stats() const;
 
     /**
-     * `metrics` fanned out to every live shard, merged bucket-wise with
-     * obs::merge_prometheus (exact: every histogram in the fleet shares
-     * one fixed bucket-bound table).  The front door's own registry is
-     * NOT mixed in, mirroring merged_stats' worker-only sums.  Faulting
-     * shards are marked dead and skipped.
+     * `metrics` fanned out to every live shard, merged with
+     * obs::merge_prometheus: counters and gauges sum, histograms merge
+     * bucket-exactly (every histogram in the fleet shares one fixed
+     * bucket-bound table).  The front door's own registry is NOT mixed
+     * in — it sees no transpiles.  A shard that faults mid-fan-out is
+     * marked dead and skipped — scrapes never fail, they narrow.
      */
     std::string merged_metrics();
 

@@ -15,12 +15,15 @@
 //      covering queue-wait, layout (per-trial), routing, and
 //      cache-insert on a miss, and a decode/admission hit-path trace
 //      on `status cache_hit`; untraced requests carry no span lines;
-//  (e) fleet merge — a 3-worker front door's `metrics` verb equals
-//      merge_prometheus of the individual worker scrapes;
-//  (f) merged_stats hardening — a shard reporting a non-numeric stat
-//      row stays LIVE, the row passes through as shard<i>_<key>, and
-//      merge_skipped counts it (the old stoull path marked the shard
-//      dead and silently dropped the row);
+//  (e) one counter source — `stats` is the flat view of `metrics`, so
+//      both verbs report one request count: per service for two
+//      servers in one process, and fleet-wide on a 3-worker front door,
+//      whose `metrics` verb equals merge_prometheus of the individual
+//      worker scrapes;
+//  (f) fleet-merge hardening — shards whose `metrics` body carries a
+//      non-numeric sample stay LIVE, their numeric samples still sum
+//      into the front's `stats`, and the odd line appears once in the
+//      front's `metrics`;
 //  (g) the bounded event log — drop-oldest with a visible dropped
 //      counter, and JSON escaping in format_event.
 
@@ -162,6 +165,31 @@ TEST(ObsHistogram, MergePassesNonNumericLinesOnce)
               merged.rfind("# TYPE x counter"));
     EXPECT_EQ(merged.find("build_info version=1"),
               merged.rfind("build_info version=1"));
+
+    // A value past u64 max is not a number either: it passes through
+    // once instead of wrapping into a plausible-looking sum.
+    const std::string huge = "y_total 99999999999999999999999\n";
+    const std::string big =
+        obs::merge_prometheus({huge, "y_total 1\n", huge});
+    EXPECT_EQ(big.find(huge), big.rfind(huge));
+    EXPECT_NE(big.find(huge), std::string::npos);
+    EXPECT_NE(big.find("y_total 1\n"), std::string::npos);
+    EXPECT_EQ(big.find("200376420520689664"), std::string::npos);
+}
+
+TEST(ObsHistogram, StatsRowsAreTheFlatViewOfCountersAndGauges)
+{
+    obs::MetricsRegistry reg;
+    reg.counter("nassc_hits_total", "c").inc(4);
+    reg.gauge("nassc_depth", "g").set(-2);
+    reg.histogram("nassc_t_us", "h").observe(3);
+    std::string body = reg.render();
+    obs::render_sample(body, "nassc_requests_total", "counter", 7);
+    obs::render_sample(body, "plain", "gauge", 1);
+    body += "untyped 5\nnassc_lbl_total{shard=\"0\"} 9\n";
+    const std::vector<std::pair<std::string, std::string>> expected = {
+        {"hits", "4"}, {"depth", "-2"}, {"requests", "7"}, {"plain", "1"}};
+    EXPECT_EQ(obs::stats_rows(body), expected);
 }
 
 TEST(ObsRegistry, TypeMismatchThrows)
@@ -342,27 +370,38 @@ TEST(ObsWire, TraceOptionReturnsStageSpans)
     server.stop();
 }
 
-TEST(ObsWire, MetricsVerbRendersGlobalRegistry)
+TEST(ObsWire, MetricsCountersArePerService)
 {
-    ServerOptions options;
-    options.unix_path = socket_path("metrics");
-    NasscServer server(options);
-    server.start();
-    ServeClient client = ServeClient::connect_unix(server.unix_path());
-
-    const std::uint64_t before =
-        obs::StackMetrics::get().requests_total.value();
-    client.transpile_qasm(to_qasm(ghz(5)), "ibmq_montreal",
-                          {{"router", "sabre"}});
-    const std::string body = client.metrics();
-    EXPECT_NE(body.find("# TYPE nassc_requests_total counter"),
-              std::string::npos);
-    EXPECT_NE(body.find("nassc_requests_total " +
-                        std::to_string(before + 1)),
-              std::string::npos);
-    EXPECT_NE(body.find("nassc_queue_wait_us_bucket{le=\"+Inf\"}"),
-              std::string::npos);
-    server.stop();
+    // Two servers in one process share the process-wide registry but
+    // not their services.  Service counters are read from each
+    // service's own ServiceStats, so each server reports its own one
+    // request on both verbs.
+    std::vector<std::unique_ptr<NasscServer>> servers;
+    for (int i = 0; i < 2; ++i) {
+        ServerOptions options;
+        options.unix_path = socket_path("metrics" + std::to_string(i));
+        servers.push_back(std::make_unique<NasscServer>(options));
+        servers.back()->start();
+        ServeClient client = ServeClient::connect_unix(options.unix_path);
+        const ServeResponse resp = client.transpile_qasm(
+            to_qasm(ghz(5)), "ibmq_montreal", {{"router", "sabre"}});
+        EXPECT_EQ(resp.status, "ok");
+        EXPECT_TRUE(resp.stats.empty()); // `stat` lines ride `stats` only
+    }
+    for (auto &server : servers) {
+        ServeClient client = ServeClient::connect_unix(server->unix_path());
+        const std::string body = client.metrics();
+        EXPECT_NE(body.find("# TYPE nassc_requests_total counter\n"
+                            "nassc_requests_total 1\n"),
+                  std::string::npos);
+        EXPECT_NE(body.find("nassc_queue_wait_us_bucket{le=\"+Inf\"}"),
+                  std::string::npos);
+        const std::map<std::string, std::uint64_t> stats = client.stats();
+        EXPECT_EQ(stats.at("requests"), 1u);
+        EXPECT_EQ(stats.at("transpiles_ok"), 1u);
+        EXPECT_EQ(stats.count("slow_requests"), 1u);
+        server->stop();
+    }
 }
 
 // ---------------------------------------------------------- fleet merge
@@ -422,7 +461,12 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
     const std::string front_body = client.metrics();
     EXPECT_EQ(strip_decode(front_body),
               strip_decode(obs::merge_prometheus(scrapes)));
-    EXPECT_NE(front_body.find("nassc_requests_total"), std::string::npos);
+    // One counter source: three requests through the front are three
+    // on both verbs (each worker renders its own service's count, not
+    // the process-wide one three times).
+    EXPECT_NE(front_body.find("\nnassc_requests_total 3\n"),
+              std::string::npos);
+    EXPECT_EQ(client.stats().at("requests"), 3u);
 
     front.stop();
     router->close_pools();
@@ -430,18 +474,27 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
         worker->stop();
 }
 
-// ---------------------------------------------- merged_stats hardening
+// ------------------------------------------------ fleet-merge hardening
 
-/** A protocol-speaking fake shard whose stats include a row no
- *  integer parser can sum.  Real workers never do this today; the
- *  front must stay correct when one does tomorrow. */
-struct FakeStatsShard
+/** A protocol-speaking fake shard whose `metrics` body carries a
+ *  sample no integer parser can sum.  Real workers never do this
+ *  today; the front must stay correct when one does tomorrow. */
+struct FakeMetricsShard
 {
-    std::string path = socket_path("fake");
+    static constexpr const char *kBody =
+        "# TYPE nassc_requests_total counter\n"
+        "nassc_requests_total 5\n"
+        "# TYPE nassc_uptime gauge\n"
+        "nassc_uptime 3h17m\n"
+        "# TYPE nassc_transpiles_ok_total counter\n"
+        "nassc_transpiles_ok_total 2\n";
+
+    std::string path;
     int listen_fd = -1;
     std::thread th;
 
-    FakeStatsShard()
+    explicit FakeMetricsShard(const std::string &name)
+        : path(socket_path(name))
     {
         ::unlink(path.c_str());
         listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -463,9 +516,7 @@ struct FakeStatsShard
                     while (read_frame(fd, payload)) {
                         ServeResponse resp;
                         resp.status = "ok";
-                        resp.stats = {{"requests", "5"},
-                                      {"uptime", "3h17m"},
-                                      {"transpiles_ok", "2"}};
+                        resp.metrics = kBody;
                         write_frame(fd, encode_response(resp));
                     }
                 } catch (const std::exception &) {
@@ -475,7 +526,7 @@ struct FakeStatsShard
         });
     }
 
-    ~FakeStatsShard()
+    ~FakeMetricsShard()
     {
         ::shutdown(listen_fd, SHUT_RDWR);
         ::close(listen_fd);
@@ -486,27 +537,41 @@ struct FakeStatsShard
 
 TEST(ObsMergedStats, NonNumericRowsPassThroughWithoutKillingTheShard)
 {
-    FakeStatsShard fake;
+    FakeMetricsShard fake0("fake0");
+    FakeMetricsShard fake1("fake1");
     ShardRouterOptions ropts;
-    ServeEndpoint endpoint;
-    endpoint.unix_path = fake.path;
-    ropts.shards.push_back(endpoint);
-    ShardRouter router(std::move(ropts));
+    for (const FakeMetricsShard *fake : {&fake0, &fake1}) {
+        ServeEndpoint endpoint;
+        endpoint.unix_path = fake->path;
+        ropts.shards.push_back(endpoint);
+    }
+    auto router = std::make_shared<ShardRouter>(std::move(ropts));
+    ServerOptions fopts;
+    fopts.unix_path = socket_path("fakefront");
+    fopts.shard_router = router;
+    NasscServer front(fopts);
+    front.start();
+    ServeClient client = ServeClient::connect_unix(front.unix_path());
 
-    std::map<std::string, std::string> rows;
-    for (const auto &kv : router.merged_stats())
-        rows[kv.first] = kv.second;
+    // Numeric samples sum into the front's `stats`, and both shards
+    // stay LIVE: an odd value is a presentation problem, not a
+    // transport fault.
+    const std::map<std::string, std::uint64_t> stats = client.stats();
+    EXPECT_EQ(stats.at("requests"), 10u);
+    EXPECT_EQ(stats.at("transpiles_ok"), 4u);
+    EXPECT_EQ(stats.at("shards_live"), 2u);
+    EXPECT_TRUE(router->is_live(0));
+    EXPECT_TRUE(router->is_live(1));
 
-    // Numeric rows summed normally; the odd row namespaced through and
-    // counted — and the shard is still LIVE (the old stoull-in-the-try
-    // marked it dead over a presentation problem).
-    EXPECT_EQ(rows.at("requests"), "5");
-    EXPECT_EQ(rows.at("transpiles_ok"), "2");
-    EXPECT_EQ(rows.count("uptime"), 0u);
-    EXPECT_EQ(rows.at("shard0_uptime"), "3h17m");
-    EXPECT_EQ(rows.at("merge_skipped"), "1");
-    EXPECT_EQ(rows.at("shards_live"), "1");
-    EXPECT_TRUE(router.is_live(0));
+    // The odd line appears once in the merged `metrics`, verbatim.
+    const std::string body = client.metrics();
+    const std::string odd = "nassc_uptime 3h17m\n";
+    EXPECT_NE(body.find(odd), std::string::npos);
+    EXPECT_EQ(body.find(odd), body.rfind(odd));
+    EXPECT_NE(body.find("nassc_requests_total 10\n"), std::string::npos);
+
+    front.stop();
+    router->close_pools();
 }
 
 // ------------------------------------------------------------ event log

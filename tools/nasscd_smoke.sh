@@ -11,8 +11,9 @@
 #      workload and verify every response is bit-identical to an
 #      in-process transpile() AND that the daemon transpiled each
 #      distinct request exactly once (dedup invariant);
-#   3. scrape `--metrics` and check nassc_requests_total agrees with
-#      the stats verb and the driven load, then drive one traced
+#   3. scrape `--metrics` and check nassc_requests_total and
+#      nassc_transpiles_ok_total agree with the stats verb's rows, and
+#      the request count with the driven load; then drive one traced
 #      request (`--option trace=1`) and check its span lines;
 #   4. one more single-shot request (--builtin) over a fresh connection;
 #   5. SIGTERM: the daemon must drain and exit 0.
@@ -110,8 +111,11 @@ if [ "$SHARDS" -gt 0 ]; then
     # Long restart-tolerant smoke load in the background, then murder
     # shard 1 mid-run.  Failover must make the load finish with ZERO
     # failures and bit-identical responses; the supervisor must bring
-    # the shard back.
-    "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 --repeat 1000 \
+    # the shard back.  The load must outlast the 1.5 s sleep below
+    # plus the restart and one 500 ms health tick (which is what marks
+    # the restarted shard live again): 4000 repeats take about 4-6 s
+    # on one core, where 1000 took 1.0-1.6 s and often ended first.
+    "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 --repeat 4000 \
         --tolerate-restarts &
     SMOKE_PID=$!
     sleep 1.5
@@ -154,28 +158,35 @@ else
 fi
 
 # Observability: the Prometheus scrape must exist and agree with the
-# stats verb — both count one increment per accepted transpile request,
-# and in sharded mode both are worker-only merges, so they move in
-# lockstep.  The smoke drove 16 transpile requests per pass (4 circuits
-# x 2 routers x 2 duplicates); retries (fault mode) and long repeats
-# with a crash-reset shard (sharded mode) can only leave the counter at
-# or above one clean pass.
+# stats verb.  `stats` is the flat view of the `metrics` snapshot (in
+# sharded mode, of the front's merge of the worker scrapes), so each
+# `nassc_<row>_total` counter must equal its `<row>` stats row; the
+# check drives that name mapping across real processes.  The smoke
+# drove 16 transpile requests per pass (4 circuits x 2 routers x 2
+# duplicates); retries (fault mode) and long repeats with a
+# crash-reset shard (sharded mode) can only leave the counter at or
+# above one clean pass.
 METRICS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --metrics)
+STATS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --stats)
+DRIVEN=16
+for ROW in requests transpiles_ok; do
+    METRIC_VAL=$(printf '%s\n' "$METRICS" |
+                 awk -v k="nassc_${ROW}_total" '$1 == k { print $2 }')
+    STATS_VAL=$(printf '%s\n' "$STATS" |
+                awk -v k="$ROW" '$1 == k { print $2 }')
+    if [ -z "${METRIC_VAL:-}" ]; then
+        echo "nasscd_smoke: metrics scrape has no nassc_${ROW}_total" >&2
+        printf '%s\n' "$METRICS" >&2
+        exit 1
+    fi
+    if [ "$METRIC_VAL" -ne "${STATS_VAL:-0}" ]; then
+        echo "nasscd_smoke: nassc_${ROW}_total ($METRIC_VAL) disagrees" \
+             "with stats $ROW row (${STATS_VAL:-missing})" >&2
+        exit 1
+    fi
+done
 REQ_TOTAL=$(printf '%s\n' "$METRICS" |
             awk '$1 == "nassc_requests_total" { print $2 }')
-STATS_REQ=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --stats |
-            awk '$1 == "requests" { print $2 }')
-DRIVEN=16
-if [ -z "${REQ_TOTAL:-}" ]; then
-    echo "nasscd_smoke: metrics scrape has no nassc_requests_total" >&2
-    printf '%s\n' "$METRICS" >&2
-    exit 1
-fi
-if [ "$REQ_TOTAL" -ne "${STATS_REQ:-0}" ]; then
-    echo "nasscd_smoke: nassc_requests_total ($REQ_TOTAL) disagrees with" \
-         "stats requests row (${STATS_REQ:-missing})" >&2
-    exit 1
-fi
 if [ "$SHARDS" -gt 0 ] || [ -n "$CLIENT_FLAG" ]; then
     if [ "$REQ_TOTAL" -lt "$DRIVEN" ]; then
         echo "nasscd_smoke: nassc_requests_total $REQ_TOTAL < driven" \
