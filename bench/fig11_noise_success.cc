@@ -48,8 +48,7 @@ main(int argc, char **argv)
     csv.push_back("benchmark,config,cx_add,success_rate");
 
     for (const BenchmarkCase &bc : fig11_benchmarks()) {
-        TranspileResult base =
-            TranspileContext::global().optimize_only(bc.circuit);
+        TranspileResult base = optimize_only(bc.circuit);
         uint64_t ideal = ideal_outcome(bc.circuit);
 
         double add[4] = {0, 0, 0, 0};

@@ -48,8 +48,7 @@ main(int argc, char **argv)
 
     std::size_t idx = 0;
     for (const BenchmarkCase &bc : benchmarks) {
-        TranspileResult base =
-            TranspileContext::global().optimize_only(bc.circuit);
+        TranspileResult base = optimize_only(bc.circuit);
         Cell sabre = cell_from_results(report.results, idx, args.seeds,
                                        base.cx_total, base.depth);
         Cell nassc = cell_from_results(report.results, idx, args.seeds,

@@ -26,8 +26,7 @@ main(int argc, char **argv)
     GeoMean gm_total, gm_add;
 
     for (const BenchmarkCase &bc : table_benchmarks()) {
-        TranspileResult base =
-            TranspileContext::global().optimize_only(bc.circuit);
+        TranspileResult base = optimize_only(bc.circuit);
         Cell sabre = run_cell(bc.circuit, dev, RoutingAlgorithm::kSabre,
                               args.seeds, base.cx_total, base.depth);
         Cell nassc = run_cell(bc.circuit, dev, RoutingAlgorithm::kNassc,

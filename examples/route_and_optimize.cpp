@@ -21,11 +21,11 @@ main(int argc, char **argv)
     QuantumCircuit logical = qft(n);
 
     // Optimization-only baseline: the circuit cost without any routing.
-    TranspileContext &ctx = TranspileContext::global();
-    TranspileResult base = ctx.optimize_only(logical);
+    TranspileResult base = optimize_only(logical);
     std::printf("qft_n%d, original optimized CNOTs: %d, depth %d\n\n", n,
                 base.cx_total, base.depth);
 
+    TranspileContext &ctx = TranspileContext::global();
     const char *names[2] = {"Qiskit+SABRE", "Qiskit+NASSC"};
     for (int r = 0; r < 2; ++r) {
         double cx = 0, depth = 0, secs = 0;

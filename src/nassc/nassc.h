@@ -48,8 +48,6 @@
 #include "nassc/passes/commutation.h"
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/passes/optimize_1q.h"
-#include "nassc/passes/pass_manager.h"
-#include "nassc/passes/scheduling.h"
 
 #include "nassc/route/layout.h"
 #include "nassc/route/layout_search.h"

@@ -259,15 +259,6 @@ class TranspileService
                                 std::shared_ptr<const Backend> backend,
                                 const TranspileOptions &options = {});
 
-    /** Convenience: submit + get. */
-    SharedTranspileResult
-    transpile_sync(const QuantumCircuit &circuit,
-                   std::shared_ptr<const Backend> backend,
-                   const TranspileOptions &options = {})
-    {
-        return submit(circuit, std::move(backend), options).get();
-    }
-
     /**
      * Abandon `ticket`'s request if (a) it owns a scheduled transpile,
      * (b) no other submit coalesced onto it, and (c) no worker has

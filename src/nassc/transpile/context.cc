@@ -30,13 +30,6 @@ TranspileContext::transpile(const QuantumCircuit &qc, const Backend &backend,
     return nassc::transpile(qc, backend, opts, *distances_);
 }
 
-TranspileResult
-TranspileContext::optimize_only(const QuantumCircuit &qc,
-                                const TranspileOptions &opts) const
-{
-    return nassc::optimize_only(qc, opts);
-}
-
 TranspileService &
 TranspileContext::service()
 {

@@ -14,11 +14,12 @@
  *
  * TranspileContext collapses that split: it bundles the distance-matrix
  * cache, the scheduler, and a lazily-created TranspileService behind one
- * handle with both synchronous (transpile / optimize_only) and
- * asynchronous (submit / submit_qasm) entry points, all guaranteed to
- * share the same caches.  The free functions remain as thin shims —
- * the 3-arg transpile() now forwards through TranspileContext::global(),
- * so "the old API" and "the new API" are one code path.
+ * handle with synchronous (transpile) and asynchronous (submit /
+ * submit_qasm) entry points, all guaranteed to share the same caches.
+ * optimize_only() needs no context: it touches no cache.  The free
+ * functions remain as thin shims — the 3-arg transpile() now forwards
+ * through TranspileContext::global(), so "the old API" and "the new
+ * API" are one code path.
  *
  *  - TranspileContext::global(): the process-wide context, built on
  *    DistanceCache::global() and Scheduler::shared().  What the free
@@ -68,10 +69,6 @@ class TranspileContext
                               const Backend &backend,
                               const TranspileOptions &opts = {}) const;
 
-    /** Optimization-only baseline (no routing). */
-    TranspileResult optimize_only(const QuantumCircuit &qc,
-                                  const TranspileOptions &opts = {}) const;
-
     /** Async submit through the context's TranspileService (created on
      *  first use): dedup, coalescing, and the bounded result cache all
      *  apply.  See service/transpile_service.h. */
@@ -85,15 +82,6 @@ class TranspileContext
                                 const TranspileOptions &opts = {});
 
     DistanceCache &distances() const { return *distances_; }
-
-    /** One-lock snapshot of the context's distance-cache counters —
-     *  provider computations/hits plus the per-row lazy-provider stats
-     *  (rows computed, row cache hits, evictions, resident/peak bytes).
-     *  What the nasscd stats verb reports as the distance_* rows. */
-    DistanceCache::Stats distance_stats() const
-    {
-        return distances_->stats();
-    }
 
     Scheduler &scheduler() const;
 

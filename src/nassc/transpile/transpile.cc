@@ -20,6 +20,20 @@ namespace nassc {
 
 namespace {
 
+/**
+ * Run one named pipeline stage under its trace span.  A plain span
+ * costs one relaxed load when no tracer is armed; the three stages
+ * with a StackMetrics histogram (distance_resolve, layout, routing)
+ * pass it and are always timed.
+ */
+template <class Fn>
+decltype(auto)
+stage(const char *name, Fn &&fn, obs::Histogram *hist = nullptr)
+{
+    obs::TraceSpan span(name, hist);
+    return fn();
+}
+
 /** Post-routing optimization loop (paper Fig. 2 "optimization" stage). */
 void
 optimization_loop(QuantumCircuit &qc, int rounds)
@@ -37,6 +51,30 @@ optimization_loop(QuantumCircuit &qc, int rounds)
             break;
         last_size = size;
     }
+}
+
+/**
+ * Stages `lower` and `pre_opt`: lower to <= 2q gates, then canonicalize
+ * 1q runs and 2q blocks so the router's C2q estimates see concise block
+ * unitaries.  The prologue of both pipelines.
+ */
+QuantumCircuit
+lower_and_pre_optimize(const QuantumCircuit &qc)
+{
+    QuantumCircuit c = stage("lower", [&] { return decompose_to_2q(qc); });
+    stage("pre_opt", [&] {
+        run_optimize_1q(c, Basis1q::kUGate);
+        consolidate_2q_blocks(c, Basis1q::kUGate);
+    });
+    return c;
+}
+
+/** Stages `basis` and `opt_loop`: the epilogue of both pipelines. */
+void
+translate_and_optimize(QuantumCircuit &qc, int rounds)
+{
+    stage("basis", [&] { qc = translate_to_basis(qc); });
+    stage("opt_loop", [&] { optimization_loop(qc, rounds); });
 }
 
 } // namespace
@@ -91,33 +129,28 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     if (opts.deadline_ms > 0)
         budget.emplace(t0 + std::chrono::milliseconds(opts.deadline_ms));
 
-    // 1. Lower to <= 2q gates.
-    QuantumCircuit c = decompose_to_2q(qc);
+    // Stages `lower` and `pre_opt`.
+    QuantumCircuit c = lower_and_pre_optimize(qc);
 
-    // 2. Pre-routing optimization: canonicalize 1q runs and 2q blocks so
-    //    the router's C2q estimates see concise block unitaries.
-    run_optimize_1q(c, Basis1q::kUGate);
-    consolidate_2q_blocks(c, Basis1q::kUGate);
-
-    // 3. Distances: plain hops, or the HA noise-aware variant, shared
-    //    through the cache so repeat calls against one backend (and
-    //    concurrent batch jobs) reuse a single computation.  Devices
-    //    above the sparse threshold get a lazy per-row provider —
-    //    distance memory proportional to the rows routing actually
-    //    touches — while everything at or below it keeps the historical
-    //    dense matrix, bit for bit.
+    // Stage `distance_resolve`: plain hops, or the HA noise-aware
+    // variant, shared through the cache so repeat calls against one
+    // backend (and concurrent batch jobs) reuse a single computation.
+    // Devices above the sparse threshold get a lazy per-row provider —
+    // distance memory proportional to the rows routing actually touches
+    // — while everything at or below it keeps the historical dense
+    // matrix, bit for bit.
+    obs::StackMetrics &om = obs::StackMetrics::get();
     DistanceRequest dreq = opts.noise_aware ? DistanceRequest::noise()
                                             : DistanceRequest::hops();
     if (backend.coupling.num_qubits() > opts.sparse_distance_threshold)
         dreq = dreq.as_sparse(opts.distance_row_budget_bytes);
-    SharedDistanceProvider dist_shared = [&] {
-        obs::TraceSpan span("distance_resolve",
-                            &obs::StackMetrics::get().distance_resolve_us);
-        return cache.provider(backend, dreq);
-    }();
+    SharedDistanceProvider dist_shared = stage(
+        "distance_resolve", [&] { return cache.provider(backend, dreq); },
+        &om.distance_resolve_us);
     const DistanceProvider &dist = *dist_shared;
 
-    // 4. Initial layout (shared between SABRE and NASSC, paper Sec. IV-A).
+    // Stage `layout`: initial layout, shared between SABRE and NASSC
+    // (paper Sec. IV-A).
     RoutingOptions ropts;
     ropts.algorithm = opts.router;
     ropts.extended_size = opts.extended_size;
@@ -133,41 +166,46 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     ropts.region_radius = opts.region_radius;
 
     auto tl0 = std::chrono::steady_clock::now();
-    LayoutSearchResult search = [&] {
-        obs::TraceSpan span("layout", &obs::StackMetrics::get().layout_us);
-        return search_and_route(c, backend.coupling, dist, ropts,
-                                opts.layout_iterations);
-    }();
+    LayoutSearchResult search = stage(
+        "layout",
+        [&] {
+            return search_and_route(c, backend.coupling, dist, ropts,
+                                    opts.layout_iterations);
+        },
+        &om.layout_us);
     auto tl1 = std::chrono::steady_clock::now();
 
-    // 5. Routing.  The search scored every trial by routing the full
-    //    circuit (measures/barriers included); on kSabre pipelines the
-    //    winner's scoring pass used exactly `ropts`, so it IS the route
-    //    and this step is skipped — bit-identical to recomputing it.
+    // Stage `routing`.  The search scored every trial by routing the
+    // full circuit (measures/barriers included); on kSabre pipelines the
+    // winner's scoring pass used exactly `ropts`, so it IS the route and
+    // no second pass runs — bit-identical to recomputing it.
     const bool reused = search.routed.has_value();
-    RoutingResult routed = [&] {
-        obs::TraceSpan span("routing", &obs::StackMetrics::get().routing_us);
-        return reused ? std::move(*search.routed)
-                      : route_circuit(c, backend.coupling, dist,
-                                      search.initial, ropts);
-    }();
-
+    RoutingResult routed = stage(
+        "routing",
+        [&] {
+            return reused ? std::move(*search.routed)
+                          : route_circuit(c, backend.coupling, dist,
+                                          search.initial, ropts);
+        },
+        &om.routing_us);
     QuantumCircuit phys = std::move(routed.circuit);
 
-    // 6. SWAP handling.
-    if (opts.router == RoutingAlgorithm::kNassc) {
-        // Give block resynthesis a chance to absorb whole SWAPs (C2q),
-        // then expand the remaining SWAPs with their orientation flags.
-        consolidate_2q_blocks(phys, Basis1q::kUGate);
-        decompose_swaps(phys, opts.orientation_aware_decomposition);
-    } else {
-        // Qiskit+SABRE: fixed decomposition at the routing step.
-        decompose_swaps(phys, /*orientation_aware=*/false);
-    }
+    // Stage `swap_expand`.
+    stage("swap_expand", [&] {
+        if (opts.router == RoutingAlgorithm::kNassc) {
+            // Give block resynthesis a chance to absorb whole SWAPs
+            // (C2q), then expand the remaining SWAPs with their
+            // orientation flags.
+            consolidate_2q_blocks(phys, Basis1q::kUGate);
+            decompose_swaps(phys, opts.orientation_aware_decomposition);
+        } else {
+            // Qiskit+SABRE: fixed decomposition at the routing step.
+            decompose_swaps(phys, /*orientation_aware=*/false);
+        }
+    });
 
-    // 7. Basis translation + optimization loop.
-    phys = translate_to_basis(phys);
-    optimization_loop(phys, opts.opt_loop_rounds);
+    // Stages `basis` and `opt_loop`.
+    translate_and_optimize(phys, opts.opt_loop_rounds);
 
     auto t1 = std::chrono::steady_clock::now();
 
@@ -202,14 +240,13 @@ optimize_only(const QuantumCircuit &qc, const TranspileOptions &opts)
 {
     auto t0 = std::chrono::steady_clock::now();
 
-    QuantumCircuit c = decompose_to_2q(qc);
-    run_optimize_1q(c, Basis1q::kUGate);
-    consolidate_2q_blocks(c, Basis1q::kUGate);
-    c = translate_to_basis(c);
-    // Same optimization-loop budget as the routed pipeline, so a
-    // CNOT_add ablation under non-default opt_loop_rounds compares the
-    // routed circuit against a baseline built with the same effort.
-    optimization_loop(c, opts.opt_loop_rounds);
+    // The same stages as transpile() with the four routing stages
+    // skipped.  The loop gets the same round budget as the routed
+    // pipeline, so a CNOT_add ablation under non-default
+    // opt_loop_rounds compares the routed circuit against a baseline
+    // built with the same effort.
+    QuantumCircuit c = lower_and_pre_optimize(qc);
+    translate_and_optimize(c, opts.opt_loop_rounds);
 
     auto t1 = std::chrono::steady_clock::now();
 

@@ -5,14 +5,24 @@
  * @file
  * End-to-end transpilation pipelines.
  *
- * transpile() mirrors the paper's Fig. 5 flow:
+ * transpile() mirrors the paper's Fig. 5 flow as one ordered sequence
+ * of eight named stages, each under an obs::TraceSpan of that name:
  *
- *   decompose -> pre-routing optimization (Optimize1qGates,
- *   Collect2qBlocks resynthesis, commutation analysis happens inside the
- *   router) -> SabreLayout -> routing (SABRE or NASSC) -> [NASSC only:
- *   consolidate blocks including SWAPs, flag-aware SWAP decomposition] ->
- *   basis translation -> optimization loop (Optimize1qGates,
- *   CommutativeCancellation, Collect2qBlocks) to fixpoint.
+ *   lower            decompose to <= 2q gates
+ *   pre_opt          Optimize1qGates + Collect2qBlocks resynthesis
+ *                    (commutation analysis happens inside the router)
+ *   distance_resolve distance provider from the DistanceCache
+ *   layout           SabreLayout search (scores trials by routing)
+ *   routing          SABRE or NASSC route (or the reused search route)
+ *   swap_expand      [NASSC: consolidate blocks including SWAPs, then
+ *                    flag-aware decomposition] or fixed decomposition
+ *   basis            translation to {rz, sx, x, cx}
+ *   opt_loop         Optimize1qGates, CommutativeCancellation,
+ *                    Collect2qBlocks, to fixpoint
+ *
+ * distance_resolve, layout and routing also feed their StackMetrics
+ * histograms; the other five cost one relaxed load when no tracer is
+ * armed.
  *
  * The layout step scores every trial by routing the FULL circuit
  * (measures/barriers included, operands mapped through the live
@@ -23,8 +33,9 @@
  * route uses the optimization-aware tracker.
  *
  * optimize_only() is the "original circuit optimized by Qiskit" baseline
- * of Tables I-IV: the same pipeline on a fully connected device (no
- * routing), used to compute CNOT_add = CNOT_total - CNOT_baseline.
+ * of Tables I-IV: the same stages with the four routing ones
+ * (distance_resolve .. swap_expand) skipped, as on a fully connected
+ * device, used to compute CNOT_add = CNOT_total - CNOT_baseline.
  */
 
 #include <cstdint>

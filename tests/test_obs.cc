@@ -8,12 +8,16 @@
 //  (b) span lifecycle — nested TraceSpans close (open_spans back to 0)
 //      while unwinding failpoint-injected throws and deadline expiry,
 //      through the real TranspileService/Scheduler propagation seam;
-//  (c) determinism — transpiled output is bit-identical with tracing
-//      armed vs off, across the Table I golden circuits and both
-//      routers (spans read clocks and append to side buffers only);
+//  (c) determinism and coverage — transpiled output is bit-identical
+//      with tracing armed vs off, across the Table I golden circuits
+//      and both routers (spans read clocks and append to side buffers
+//      only); the eight stage spans of transpile() each appear once and
+//      sum to >= 99% of its wall time, and optimize_only() records
+//      exactly its four;
 //  (d) the wire — `option trace=1` returns per-stage span lines
-//      covering queue-wait, layout (per-trial), routing, and
-//      cache-insert on a miss, and a decode/admission hit-path trace
+//      covering queue-wait, the eight pipeline stages, per-trial
+//      layout, and cache-insert on a miss, and a decode/admission
+//      hit-path trace
 //      on `status cache_hit`; untraced requests carry no span lines;
 //  (e) one counter source — `stats` is the flat view of `metrics`, so
 //      both verbs report one request count: per service for two
@@ -27,6 +31,7 @@
 //  (g) the bounded event log — drop-oldest with a visible dropped
 //      counter, and JSON escaping in format_event.
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -83,6 +88,16 @@ span_map(const ServeResponse &resp)
     std::map<std::string, std::uint64_t> m;
     for (const auto &span : resp.spans)
         m[span.first] += 1; // count occurrences; durations are timing
+    return m;
+}
+
+/** The spans recorded on `tracer`, counted by name. */
+std::map<std::string, std::uint64_t>
+span_counts(const obs::Tracer &tracer)
+{
+    std::map<std::string, std::uint64_t> m;
+    for (const auto &span : tracer.spans())
+        ++m[span.first];
     return m;
 }
 
@@ -244,9 +259,7 @@ TEST(ObsTrace, ServiceSpansCloseUnderFailpointThrow)
     // The worker's transpile span closed during unwinding and recorded
     // itself; nothing stayed open.
     EXPECT_EQ(tracer->open_spans(), 0);
-    std::map<std::string, std::uint64_t> names;
-    for (const auto &span : tracer->spans())
-        ++names[span.first];
+    const std::map<std::string, std::uint64_t> names = span_counts(*tracer);
     EXPECT_EQ(names.count("admission"), 1u);
     EXPECT_EQ(names.count("transpile"), 1u);
 }
@@ -311,6 +324,57 @@ TEST(ObsTrace, TracingOnVsOffIsBitIdentical)
     }
 }
 
+// ------------------------------------------------------ stage coverage
+
+TEST(ObsTrace, StageSpansCoverTheWholePipeline)
+{
+    const std::vector<std::string> stages = {
+        "lower",   "pre_opt",     "distance_resolve", "layout",
+        "routing", "swap_expand", "basis",            "opt_loop"};
+    // sqn_258 on montreal takes 0.3-0.4 s per router in a Release
+    // build, a realistic Table I cell: the work outside any stage
+    // (option copies, clock reads) and the microsecond truncation of
+    // eight spans must stay below 1% of it.
+    const QuantumCircuit qc = benchmark_by_name("sqn_258");
+    for (RoutingAlgorithm router :
+         {RoutingAlgorithm::kSabre, RoutingAlgorithm::kNassc}) {
+        TranspileOptions opts;
+        opts.router = router;
+        auto tracer = std::make_shared<obs::Tracer>("stages");
+        DistanceCache cache;
+        const TranspileResult res = [&] {
+            obs::TraceScope scope(tracer);
+            return transpile(qc, montreal_backend(), opts, cache);
+        }();
+
+        const auto counts = span_counts(*tracer);
+        for (const std::string &stage : stages) {
+            EXPECT_EQ(counts.count(stage) ? counts.at(stage) : 0u, 1u)
+                << "stage " << stage << " router "
+                << static_cast<int>(router);
+        }
+        std::uint64_t stage_us = 0;
+        for (const auto &span : tracer->spans())
+            if (std::find(stages.begin(), stages.end(), span.first) !=
+                stages.end())
+                stage_us += span.second;
+        EXPECT_GE(static_cast<double>(stage_us), 0.99 * res.seconds * 1e6)
+            << "router " << static_cast<int>(router) << ": stages cover "
+            << stage_us << " us of " << res.seconds * 1e6 << " us";
+    }
+
+    // optimize_only() runs the same stages with the four routing ones
+    // skipped.
+    auto tracer = std::make_shared<obs::Tracer>("optimize_only");
+    {
+        obs::TraceScope scope(tracer);
+        optimize_only(qc);
+    }
+    const std::map<std::string, std::uint64_t> expected = {
+        {"lower", 1}, {"pre_opt", 1}, {"basis", 1}, {"opt_loop", 1}};
+    EXPECT_EQ(span_counts(*tracer), expected);
+}
+
 // ------------------------------------------------------------ the wire
 
 TEST(ObsWire, TraceOptionReturnsStageSpans)
@@ -337,8 +401,9 @@ TEST(ObsWire, TraceOptionReturnsStageSpans)
     EXPECT_FALSE(miss.trace_id.empty());
     const std::map<std::string, std::uint64_t> stages = span_map(miss);
     for (const char *stage :
-         {"decode", "admission", "queue_wait", "distance_resolve",
-          "layout", "routing", "cache_insert", "transpile"})
+         {"decode", "admission", "queue_wait", "lower", "pre_opt",
+          "distance_resolve", "layout", "routing", "swap_expand", "basis",
+          "opt_loop", "cache_insert", "transpile"})
         EXPECT_TRUE(stages.count(stage)) << "missing span " << stage;
     // Per-trial spans: one per completed layout trial, several trials.
     ASSERT_TRUE(stages.count("layout_trial"));

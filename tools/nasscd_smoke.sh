@@ -25,7 +25,8 @@
 #
 # NASSC_SMOKE_SHARDS=1 runs the SHARDED deployment instead: a front
 # door with --shards 3, a long restart-tolerant smoke load, and a
-# kill -9 of one worker shard mid-run.  The client must finish with
+# kill -9 of one worker shard once the front has forwarded a fixed
+# number of its requests.  The client must finish with
 # zero failures and bit-identical responses (transparent failover),
 # the supervisor must restart the shard, and the SIGTERM drain must
 # still exit 0 with every socket (front + shards) unlinked.
@@ -88,14 +89,14 @@ if [ "$SHARDS" -gt 0 ]; then
         }
     done
 
-    # Find a worker shard's pid by scanning /proc cmdlines for its
+    # Find worker shard $1's pid by scanning /proc cmdlines for its
     # socket path.  (pgrep -f / pkill -f are booby traps here: the
     # pattern text appears in THIS shell's own cmdline, and unescaped
     # dots match any byte.)
     find_shard_pid() {
         local p
         for p in /proc/[0-9]*/cmdline; do
-            if tr '\0' '\n' < "$p" 2>/dev/null | grep -Fxq "$SOCK.shard1"
+            if tr '\0' '\n' < "$p" 2>/dev/null | grep -Fxq "$SOCK.shard$1"
             then
                 basename "$(dirname "$p")"
                 return 0
@@ -103,30 +104,59 @@ if [ "$SHARDS" -gt 0 ]; then
         done
         return 1
     }
-    SHARD_PID=$(find_shard_pid) || {
-        echo "nasscd_smoke: could not locate shard 1's pid" >&2
-        exit 1
+
+    # One stats row of the daemon on socket $1, or empty if the scrape
+    # failed.
+    stat_row() {
+        { "$BUILD_DIR/nassc_client" --unix "$1" --stats 2>/dev/null ||
+              true; } | awk -v k="$2" '$1 == k { print $2 }'
     }
+    front_stat() { stat_row "$SOCK" "$1"; }
 
     # Long restart-tolerant smoke load in the background, then murder
-    # shard 1 mid-run.  Failover must make the load finish with ZERO
-    # failures and bit-identical responses; the supervisor must bring
-    # the shard back.  The load must outlast the 1.5 s sleep below
-    # plus the restart and one 500 ms health tick (which is what marks
-    # the restarted shard live again): 4000 repeats take about 4-6 s
-    # on one core, where 1000 took 1.0-1.6 s and often ended first.
-    "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 --repeat 4000 \
+    # the busiest worker shard mid-run.  Failover must make the load
+    # finish with ZERO failures and bit-identical responses; the
+    # supervisor must bring the shard back.  The kill is tied to
+    # progress, not to the clock: it lands once the front has forwarded
+    # KILL_AFTER of the load's 16000 requests (1000 passes of 16),
+    # whatever the machine's speed.  The victim is the shard that has
+    # served the most requests so far: the ring maps the load's 8 keys
+    # unevenly, and a fixed shard index may own none of them.
+    KILL_AFTER=2000
+    "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 --repeat 1000 \
         --tolerate-restarts &
     SMOKE_PID=$!
-    sleep 1.5
-    if ! kill -0 "$SMOKE_PID" 2>/dev/null; then
-        echo "nasscd_smoke: smoke load finished before the crash" \
-             "(machine too fast — raise --repeat)" >&2
-        wait "$SMOKE_PID" || exit 1
+    FORWARDS=0
+    while [ "${FORWARDS:-0}" -lt "$KILL_AFTER" ]; do
+        if ! kill -0 "$SMOKE_PID" 2>/dev/null; then
+            echo "nasscd_smoke: smoke load finished before the crash" \
+                 "(front forwarded ${FORWARDS:-0} < $KILL_AFTER)" >&2
+            wait "$SMOKE_PID" || exit 1
+            exit 1
+        fi
+        sleep 0.05
+        FORWARDS=$(front_stat forwards)
+    done
+    VICTIM=0
+    VICTIM_REQUESTS=0
+    for i in $(seq 0 $((SHARDS - 1))); do
+        N=$(stat_row "$SOCK.shard$i" requests)
+        if [ "${N:-0}" -gt "$VICTIM_REQUESTS" ]; then
+            VICTIM=$i
+            VICTIM_REQUESTS=$N
+        fi
+    done
+    if [ "$VICTIM_REQUESTS" -eq 0 ]; then
+        echo "nasscd_smoke: no shard reports any served request" >&2
         exit 1
     fi
+    SHARD_PID=$(find_shard_pid "$VICTIM") || {
+        echo "nasscd_smoke: could not locate shard $VICTIM's pid" >&2
+        exit 1
+    }
     kill -9 "$SHARD_PID"
-    echo "nasscd_smoke: killed shard 1 (pid $SHARD_PID) mid-load"
+    echo "nasscd_smoke: killed shard $VICTIM (pid $SHARD_PID," \
+         "$VICTIM_REQUESTS requests served) after $FORWARDS forwards"
     SMOKE_STATUS=0
     wait "$SMOKE_PID" || SMOKE_STATUS=$?
     if [ "$SMOKE_STATUS" -ne 0 ]; then
@@ -135,11 +165,15 @@ if [ "$SHARDS" -gt 0 ]; then
     fi
 
     # The supervisor restarted the shard and the fleet is whole again:
-    # merged stats must show the restart and all shards live.
-    STATS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --stats)
-    RESTARTS=$(printf '%s\n' "$STATS" |
-               awk '$1 == "supervisor_restarts" { print $2 }')
-    LIVE=$(printf '%s\n' "$STATS" | awk '$1 == "shards_live" { print $2 }')
+    # merged stats must show the restart and all shards live.  A
+    # restarted shard is marked live only on the next 500 ms health
+    # tick, so poll for up to 10 s instead of reading once.
+    for _ in $(seq 1 100); do
+        RESTARTS=$(front_stat supervisor_restarts)
+        LIVE=$(front_stat shards_live)
+        [ "${RESTARTS:-0}" -ge 1 ] && [ "${LIVE:-0}" -eq "$SHARDS" ] && break
+        sleep 0.1
+    done
     if [ "${RESTARTS:-0}" -lt 1 ]; then
         echo "nasscd_smoke: expected >=1 supervisor restart, got" \
              "'${RESTARTS:-}'" >&2
@@ -151,7 +185,7 @@ if [ "$SHARDS" -gt 0 ]; then
         exit 1
     fi
     echo "nasscd_smoke: failover survived ($RESTARTS restart(s)," \
-         "$LIVE/$SHARDS shards live)"
+         "$(front_stat failovers) failover(s), $LIVE/$SHARDS shards live)"
 else
     "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 \
         ${CLIENT_FLAG:+$CLIENT_FLAG}
